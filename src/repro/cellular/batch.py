@@ -23,10 +23,11 @@ This module restructures a whole sweep into one lockstep batch:
    outlier episodes, pre/post-handover windows) runs the very same
    code the scalar path runs.
 3. :func:`install_fleet_plans` applies the same precomputation across
-   the *members of one fleet* instead of across seeds: each member's
-   channel keeps ticking through the event loop (full sessions need
-   the loop for pacing, GCC, handover outages), but every per-tick
-   draw is served from the precomputed planes.
+   the *members of one fleet* instead of across seeds — the only way a
+   fleet runs: each member's channel keeps ticking through the event
+   loop (full sessions need the loop for pacing, GCC, handover
+   outages), but every per-tick draw is served from the precomputed
+   planes.
 
 Bit-identity contract
 ---------------------
@@ -38,7 +39,8 @@ evaluation order operation for operation. The few spots where the
 batched path computes a value by a different-but-IEEE-equal route
 (elementwise ops hoisted across a matrix, the slice-based
 neighbour-interference sum replacing ``np.delete``) are guarded by
-the packet-log fingerprint suite in ``tests/test_fingerprints.py``.
+the packet-log fingerprint suite in ``tests/test_fingerprints.py``,
+which also pins every fleet to golden digests.
 """
 
 from __future__ import annotations
@@ -235,15 +237,14 @@ def build_tick_plans(
 class FleetTickState:
     """Per-tick state hoisted across the members of one fleet.
 
-    The scalar fleet pays, per member per tick, one L3-filter EWMA
-    update over the cell vector and one ``np.delete`` + ``np.power``
-    pass for the neighbour-interference ratio. Stacked over an
+    An unplanned channel pays, per tick, one L3-filter EWMA update
+    over the cell vector and one ``np.delete`` + ``np.power`` pass for
+    the neighbour-interference ratio. Stacked over an
     ``(n_members, n_cells)`` matrix both collapse to one numpy op per
     tick for the whole fleet: the filter recursion is elementwise, so
     the matrix update equals the per-member updates row for row, and
     the power matrix feeds each member a slice-based others-sum
-    (value-identical to delete-then-power; both routes are pinned by
-    the fleet fingerprint gates).
+    (value-identical to delete-then-power).
 
     Only these two planes hoist. Everything that *reads* them — cell
     ranking under load-balancing offsets, admission blocks, the A3
@@ -289,23 +290,22 @@ class FleetTickState:
 class FleetTicker:
     """One event-loop callback driving every fleet member's tick.
 
-    The scalar fleet keeps N independent per-channel re-arms on the
-    loop heap — N ``schedule_at``/heap-pop pairs per tick for events
-    that all fire at the same anchored instant and run in member
-    order anyway. The ticker collapses them into one event per tick
-    that calls each member's ``_tick`` in session order.
+    Unplanned channels re-arm themselves; N of them would put N
+    ``schedule_at``/heap-pop pairs per tick on the loop heap for
+    events that all fire at the same anchored instant and run in
+    member order anyway. The ticker collapses them into one event per
+    tick that calls each member's ``_tick`` in session order.
 
     Ordering is preserved where it matters: the last member's
     synchronous tick 0 arms the ticker (so the shared tick-1 event
     sits after every member's tick-0 media activity, exactly where
-    the last per-channel re-arm used to), and each firing re-arms at
+    the last per-channel re-arm would), and each firing re-arms at
     the *end* of the callback, keeping every member's same-instant
-    media completions ahead of its own next tick just as the scalar
-    scheduling does. Only the relative order of one member's tick
-    against *another* member's same-instant media events changes,
-    and no same-instant data flows across that edge: channel ticks
-    never read media state, media events never read contention
-    state. The fleet fingerprint gates pin the equality.
+    media completions ahead of its own next tick just as per-channel
+    re-arms do. Only the relative order of one member's tick against
+    *another* member's same-instant media events changes, and no
+    same-instant data flows across that edge: channel ticks never
+    read media state, media events never read contention state.
 
     Each firing also precomputes the A3 neighbour ranking for the
     whole fleet — one masked argmax over the shared filtered-RSRP
@@ -319,28 +319,19 @@ class FleetTicker:
     """
 
     __slots__ = (
-        "_channels", "_plan_channels", "_plane", "_loop", "_state",
-        "_contention", "_pending", "_anchor", "_rows", "_cols", "hint_k",
-        "hint_topo", "hint_best", "hint_margin", "sums_k", "tick_serving",
-        "others_mw",
+        "_channels", "_plane", "_loop", "_state", "_contention", "_pending",
+        "_anchor", "_rows", "_cols", "hint_k", "hint_topo", "hint_best",
+        "hint_margin", "sums_k", "tick_serving", "others_mw",
     )
 
     def __init__(
         self,
         channels: Sequence[CellularChannel],
-        state: FleetTickState | None,
+        state: FleetTickState,
         *,
-        plan_channels: Sequence[CellularChannel] | None = None,
         plane=None,
     ) -> None:
         self._channels = list(channels)
-        #: Members whose rows back the hoisted planes — the whole
-        #: fleet unless trace-sampled members were excluded from
-        #: planning. Hint/interference precompute covers these only;
-        #: ``_tick`` is still driven for every member in session order.
-        self._plan_channels = (
-            self._channels if plan_channels is None else list(plan_channels)
-        )
         #: Optional :class:`~repro.obs.metrics.FleetMetricsPlane` fed
         #: once per tick, after every member's ``_tick``.
         self._plane = plane
@@ -349,7 +340,7 @@ class FleetTicker:
         self._contention = channels[0]._contention
         self._pending = len(channels)
         self._anchor = 0.0
-        self._rows = np.arange(len(self._plan_channels))
+        self._rows = np.arange(len(channels))
         self._cols = np.arange(max(len(channels[0].layout) - 1, 0))
         self.hint_k = -1
         self.hint_topo = -1
@@ -372,53 +363,43 @@ class FleetTicker:
         state = self._state
         contention = self._contention
         k = channels[0]._tick_index
-        if state is None:
-            # No planned members (every member trace-sampled): the
-            # ticker still drives the lockstep ticks and feeds the
-            # plane, but there are no hoisted planes to advance and
-            # nobody reads hints.
-            self.sums_k = -1
-            self.hint_k = -1
+        state.advance(k)
+        rows = self._rows
+        serving = np.fromiter(
+            (ch.engine.serving_cell for ch in channels),
+            dtype=np.int64,
+            count=len(channels),
+        )
+        # Fleet-wide neighbour-interference sums: drop each member's
+        # serving column with one fancy gather and reduce along the
+        # row. The reduction runs the same pairwise kernel over the
+        # same values in the same order as the per-member slice-based
+        # sum, so the results are value-identical; a member that hands
+        # over mid-tick fails the serving-cell check in ``_tick`` and
+        # falls back to the per-member sum.
+        cols = self._cols
+        gathered = state.powered[
+            rows[:, None], cols + (cols >= serving[:, None])
+        ]
+        self.others_mw = gathered.sum(axis=1)
+        self.tick_serving = serving
+        self.sums_k = k
+        if contention._at_cap.size == 0:
+            # Fleet-wide A3 ranking: mask each member's serving cell
+            # and argmax once. Row-wise this is exactly the per-member
+            # ``filtered + offsets`` ranking (the serving score is the
+            # same two-operand add the per-member path performs), valid
+            # until someone attaches.
+            neighbours = state.f_matrix + contention.offsets()
+            scores = neighbours[rows, serving]
+            neighbours[rows, serving] = -np.inf
+            best = neighbours.argmax(axis=1)
+            self.hint_best = best
+            self.hint_margin = neighbours[rows, best] - scores
+            self.hint_topo = contention._topo_version
+            self.hint_k = k
         else:
-            state.advance(k)
-            rows = self._rows
-            plan_channels = self._plan_channels
-            serving = np.fromiter(
-                (ch.engine.serving_cell for ch in plan_channels),
-                dtype=np.int64,
-                count=len(plan_channels),
-            )
-            # Fleet-wide neighbour-interference sums: drop each
-            # member's serving column with one fancy gather and reduce
-            # along the row. The reduction runs the same pairwise
-            # kernel over the same values in the same order as the
-            # per-member slice-based sum, so the results are
-            # value-identical (fingerprint-gated); a member that hands
-            # over mid-tick fails the serving-cell check in ``_tick``
-            # and falls back to the per-member sum.
-            cols = self._cols
-            gathered = state.powered[
-                rows[:, None], cols + (cols >= serving[:, None])
-            ]
-            self.others_mw = gathered.sum(axis=1)
-            self.tick_serving = serving
-            self.sums_k = k
-            if contention is not None and contention._at_cap.size == 0:
-                # Fleet-wide A3 ranking: mask each member's serving
-                # cell and argmax once. Row-wise this is exactly the
-                # per-member ``filtered + offsets`` ranking (the
-                # serving score is the same two-operand add the scalar
-                # path performs), valid until someone attaches.
-                neighbours = state.f_matrix + contention.offsets()
-                scores = neighbours[rows, serving]
-                neighbours[rows, serving] = -np.inf
-                best = neighbours.argmax(axis=1)
-                self.hint_best = best
-                self.hint_margin = neighbours[rows, best] - scores
-                self.hint_topo = contention._topo_version
-                self.hint_k = k
-            else:
-                self.hint_k = -1
+            self.hint_k = -1
         for ch in channels:
             ch._tick()
         if self._plane is not None:
@@ -433,68 +414,47 @@ def install_fleet_plans(
     channels: Sequence[CellularChannel],
     duration: float,
     *,
-    exclude: Sequence[int] = (),
     plane=None,
-) -> FleetTicker | None:
+) -> FleetTicker:
     """Precompute and install per-member tick plans for a fleet run.
 
     The same struct-of-arrays pass :func:`build_tick_plans` runs
     across *seeds* for a campaign sweep here runs across the *members*
-    of one fleet: all channels share the layout and channel config and
-    differ only in their derived RNG streams and their translated
+    of one fleet: all channels share the layout, the channel config
+    and one :class:`~repro.cellular.cell.CellContention`, and differ
+    only in their derived RNG streams and their translated
     trajectories, so the AR recursions stack over an
     ``(n_members, n_cells)`` state matrix and each member's streams
-    refill with one block draw for the whole horizon. Each member then
-    ticks through its own event-loop callback as usual (full sessions
-    need the loop for pacing, GCC, handover outages) — but the ticks
-    share a :class:`FleetTickState`, so the L3 filter recursion and
-    the interference powers also advance once per tick for the whole
-    fleet, and :meth:`CellularChannel._tick` reads precomputed rows
-    instead of drawing per tick. The branchy per-member state (A3,
-    HET, outliers, contention) stays on the exact scalar code path,
-    and the fleet fingerprint gates pin planned == per-tick draws
-    packet-for-packet.
+    refill with one block draw for the whole horizon. Each member
+    still runs its own ``_tick`` (full sessions need the loop for
+    pacing, GCC, handover outages), driven in session order by one
+    shared :class:`FleetTicker` event per tick — but the ticks share a
+    :class:`FleetTickState`, so the L3 filter recursion and the
+    interference powers advance once per tick for the whole fleet,
+    and :meth:`CellularChannel._tick` reads precomputed rows instead
+    of drawing per tick. The branchy per-member state (A3, HET,
+    outliers, contention) stays per member.
 
     ``duration`` must be the fleet's ``run_until`` horizon: the plans
     cover exactly the anchored ticks that horizon fires
     (:func:`probe_tick_times`), and a channel that ticks past its plan
-    raises rather than falling back.
-
-    ``exclude`` lists member indices (``FleetConfig.trace_members``)
-    left on per-tick scalar draws: the shared ticker still fires their
-    ``_tick`` in session order — so cross-member contention mutation
-    order is unchanged — but they take the plan-``None`` branch at
-    every draw site, which is exactly the reference scalar code path a
-    diagnose-quality :class:`~repro.obs.recorder.Recorder` expects to
-    observe. ``plane`` attaches a
+    raises rather than falling back. ``plane`` attaches a
     :class:`~repro.obs.metrics.FleetMetricsPlane` that the ticker
-    feeds once per tick. Returns the ticker (``None`` when nothing
-    was installed: no planned members and no plane).
+    feeds once per tick. Returns the ticker.
     """
+    contention = channels[0]._contention
     for ch in channels:
         if ch._started:
             raise ValueError("fleet plans must be installed before start")
-    excluded = set(exclude)
-    planned = [ch for i, ch in enumerate(channels) if i not in excluded]
-    if not planned and plane is None:
-        return None
-    if planned:
-        times = probe_tick_times(duration)
-        plans, rsrp_planes = build_tick_plans(planned, times)
-        state = FleetTickState(
-            rsrp_planes, channels[0].engine.config.l3_filter_alpha
-        )
-    else:
-        plans, state = [], None
-    ticker = FleetTicker(channels, state, plan_channels=planned, plane=plane)
-    plan_iter = iter(plans)
-    row = 0
-    for i, ch in enumerate(channels):
-        if i in excluded:
-            ch.install_plan(None, ticker=ticker)
-            continue
-        ch.install_plan(next(plan_iter), state=state, row=row, ticker=ticker)
-        row += 1
+        if contention is None or ch._contention is not contention:
+            raise ValueError("fleet members must share one CellContention")
+    plans, rsrp_planes = build_tick_plans(channels, probe_tick_times(duration))
+    state = FleetTickState(
+        rsrp_planes, channels[0].engine.config.l3_filter_alpha
+    )
+    ticker = FleetTicker(channels, state, plane=plane)
+    for row, (ch, plan) in enumerate(zip(channels, plans)):
+        ch.install_plan(plan, state, row, ticker)
         # Outlier draws mix random() and uniform() on one stream; the
         # block-refilled wrapper serves both bit-identically.
         ch._outlier_rng = BatchedUniform(ch._outlier_rng)

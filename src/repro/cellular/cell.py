@@ -27,17 +27,15 @@ Everything here is deterministic and RNG-free: contention state is a
 pure function of the attach/update call sequence, which the shared
 event loop orders deterministically.
 
-Two implementations share this contract. :class:`CellContention` is
-the production struct-of-arrays scheduler: per-UE radio state lives in
-flat numpy arrays, membership is an ``(n_ues, n_cells)`` boolean
-plane, PRB requests (and their per-cell sums) are maintained
-incrementally, and the hot per-tick share query answers from a
-sort-free largest-remainder rank (:func:`_member_share`;
-:func:`allocate_prbs_array` is the full array-wise allocator). :class:`ScalarCellContention` is the
-original dict/loop implementation, kept verbatim as the bit-identity
-reference: the fingerprint suite pins vectorized == scalar
-packet-for-packet, and ``benchmarks/test_fleet_scale.py`` measures
-the fast path against it.
+:class:`CellContention` is the one implementation, a struct-of-arrays
+scheduler: per-UE radio state lives in flat lists and numpy arrays,
+membership is an ``(n_ues, n_cells)`` boolean plane, PRB requests
+(and their per-cell sums) are maintained incrementally, and the
+per-tick share query answers from a per-cell allocation cache that
+reruns :func:`allocate_prbs_array` (the array-wise twin of
+:func:`allocate_prbs`) only when a member's request or the
+membership changed. The golden fleet digests in
+``tests/golden/fingerprints.json`` pin its output.
 """
 
 from __future__ import annotations
@@ -146,38 +144,6 @@ def allocate_prbs_array(requests: np.ndarray, budget: int) -> np.ndarray:
     return allocation
 
 
-def _member_share(
-    requests: np.ndarray, index: int, budget: int, total: int
-) -> float:
-    """One member's largest-remainder PRB share, without the full sort.
-
-    Equals ``allocate_prbs(requests, budget)[index] / budget`` exactly:
-    the member's floor quota plus one leftover PRB iff its position in
-    the scalar allocator's ``(-remainder, index)`` ordering — the
-    count of strictly larger remainders plus earlier equal ones —
-    falls inside the leftover. Replacing the O(m log m) argsort with
-    two O(m) comparisons is what keeps the hot :meth:`shares` path
-    flat as cells fill toward large admission caps. ``total`` is the
-    incrementally maintained request sum of the cell, identical to
-    ``requests.sum()``.
-    """
-    if total <= 0:
-        return 0.0
-    quotas = requests * budget / total
-    floors = quotas.astype(np.int64)
-    mine = int(floors[index])
-    leftover = budget - int(floors.sum())
-    if leftover > 0:
-        remainders = quotas - floors
-        my_remainder = remainders[index]
-        rank = int((remainders > my_remainder).sum()) + int(
-            (remainders[:index] == my_remainder).sum()
-        )
-        if rank < leftover:
-            mine += 1
-    return mine / budget
-
-
 def _request_prbs(demand_bps: float, unc_bps: float, budget: int) -> int:
     """PRBs needed to serve ``demand_bps`` at this UE's efficiency.
 
@@ -202,30 +168,25 @@ class CellContention:
     :meth:`offsets` (load-balancing CIO added to the A3 margin) and
     :meth:`blocked_cells` (admission control).
 
-    Struct-of-arrays layout (the fleet-scale fast path): every
-    registered UE owns a slot in flat per-UE state (serving cell,
-    uncontended rates, demands, current PRB requests), membership is
-    an ``(n_ues, n_cells)`` boolean plane with per-cell occupancy
-    counts, the load-balancing offsets refresh as one vectorized
-    expression, and :meth:`shares` answers from a per-cell allocation
-    cache keyed by a request version: the full largest-remainder
-    allocation (:func:`allocate_prbs_array`) is recomputed only when
-    a member's request or the membership actually changes, and every
-    co-member's query in between is a dict lookup plus one indexed
-    division. PRB requests and their per-cell sums are maintained
-    *incrementally* — each
-    :meth:`update_rates` rewrites only that UE's request (and bumps
-    the cell's request version only when the request moved), which
-    reproduces the scalar semantics exactly: when UE ``i`` asks for
-    its share mid-tick, co-members that already ticked contribute
-    fresh requests and the rest contribute last tick's. Admission
-    blocks are cached per UE and invalidated by a topology version
-    that bumps on every attach, so the per-tick blocked query costs a
-    dict lookup between handovers. All outputs are value-identical to
-    :class:`ScalarCellContention` (exact float equality, pinned by the
-    fleet fingerprint gates); only the ``blocked_cells`` tuple order
-    differs (ascending cell id vs. first-occupied order), which no
-    consumer depends on — blocked cells are only masked to ``-inf``.
+    Struct-of-arrays layout: every registered UE owns a slot in flat
+    per-UE state (serving cell, uncontended rates, demands, current
+    PRB requests), membership is an ``(n_ues, n_cells)`` boolean plane
+    with per-cell occupancy counts, the load-balancing offsets refresh
+    as one vectorized expression, and :meth:`shares` answers from a
+    per-cell allocation cache keyed by a request version: the full
+    largest-remainder allocation (:func:`allocate_prbs_array`) is
+    recomputed only when a member's request or the membership actually
+    changes, and every co-member's query in between is a dict lookup
+    plus one indexed division. PRB requests and their per-cell sums
+    are maintained *incrementally* — each :meth:`update_rates`
+    rewrites only that UE's request (and bumps the cell's request
+    version only when the request moved): when UE ``i`` asks for its
+    share mid-tick, co-members that already ticked contribute fresh
+    requests and the rest contribute last tick's. Admission blocks are
+    cached per UE and invalidated by a topology version that bumps on
+    every attach, so the per-tick blocked query costs a dict lookup
+    between handovers. ``blocked_cells`` lists cells in ascending id
+    order; consumers only mask them to ``-inf``.
     """
 
     def __init__(
@@ -331,8 +292,8 @@ class CellContention:
         self._dem_dl.append(
             math.nan if demand_dl_bps is None else demand_dl_bps
         )
-        # Uncontended rate starts at 0 -> full-budget requests, exactly
-        # like the scalar reference before the first update_rates.
+        # Uncontended rate starts at 0 -> full-budget requests until
+        # the first update_rates.
         self._req[slot, 0] = self.config.num_prb_ul
         self._req[slot, 1] = self.config.num_prb_dl
         self._req_ul_py.append(self.config.num_prb_ul)
@@ -446,8 +407,8 @@ class CellContention:
 
         Also refreshes this UE's PRB requests in place — the request
         planes are therefore always current *for the UEs that already
-        ticked*, which is exactly the mid-tick state the scalar
-        reference rebuilds from scratch on every ``shares`` query.
+        ticked*, which is the mid-tick state a ``shares`` query must
+        see.
         """
         slot = self._slots[ue_id]
         self._unc_ul[slot] = unc_ul_bps
@@ -547,200 +508,6 @@ class CellContention:
         return {
             int(cell): int(self._counts[cell])
             for cell in np.nonzero(self._counts)[0]
-        }
-
-
-class _UeState:
-    """Latest radio state one attached session reported."""
-
-    __slots__ = ("cell", "unc_ul_bps", "unc_dl_bps", "demand_ul_bps", "demand_dl_bps")
-
-    def __init__(self) -> None:
-        self.cell: int | None = None
-        self.unc_ul_bps = 0.0
-        self.unc_dl_bps = 0.0
-        self.demand_ul_bps: float | None = None
-        self.demand_dl_bps: float | None = None
-
-
-class ScalarCellContention:
-    """Reference dict/loop implementation of :class:`CellContention`.
-
-    The original (pre-vectorization) scheduler, kept verbatim: the
-    fleet fingerprint gates run every pinned fleet config against both
-    implementations and assert exact packet-log equality, and the
-    N=64 scale bench measures the fast path's speedup against a fleet
-    built on this class. Do not optimize it.
-    """
-
-    def __init__(
-        self, num_cells: int, config: CellCapacityConfig | None = None
-    ) -> None:
-        if num_cells < 1:
-            raise ValueError("num_cells must be >= 1")
-        self.config = config if config is not None else CellCapacityConfig()
-        self.num_cells = num_cells
-        self._ues: dict[int, _UeState] = {}
-        self._members: dict[int, list[int]] = {}
-        self._offsets = np.zeros(num_cells)
-        #: Highest concurrent attachment count ever seen per cell.
-        self.peak_attached: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        ue_id: int,
-        *,
-        demand_ul_bps: float | None = None,
-        demand_dl_bps: float | None = None,
-    ) -> None:
-        """Declare a session (before its first measurement tick)."""
-        if ue_id in self._ues:
-            raise ValueError(f"ue {ue_id} already registered")
-        state = _UeState()
-        state.demand_ul_bps = demand_ul_bps
-        state.demand_dl_bps = demand_dl_bps
-        self._ues[ue_id] = state
-
-    def attach(self, ue_id: int, cell: int) -> None:
-        """Move ``ue_id`` onto ``cell`` (no-op if already attached)."""
-        state = self._ues[ue_id]
-        if state.cell == cell:
-            return
-        if not 0 <= cell < self.num_cells:
-            raise ValueError(f"cell {cell} out of range")
-        if state.cell is not None:
-            self._members[state.cell].remove(ue_id)
-        state.cell = cell
-        members = self._members.setdefault(cell, [])
-        members.append(ue_id)
-        members.sort()
-        self.peak_attached[cell] = max(
-            self.peak_attached.get(cell, 0), len(members)
-        )
-        self._refresh_offsets()
-
-    def attached_count(self, cell: int) -> int:
-        """Sessions currently attached to ``cell``."""
-        return len(self._members.get(cell, ()))
-
-    def _refresh_offsets(self) -> None:
-        config = self.config
-        self._offsets.fill(0.0)
-        for cell, members in self._members.items():
-            extra = len(members) - 1
-            if extra > 0:
-                self._offsets[cell] = -min(
-                    config.lb_max_db, config.lb_step_db * extra
-                )
-
-    # ------------------------------------------------------------------
-    # handover inputs
-    # ------------------------------------------------------------------
-    def offsets(self) -> np.ndarray:
-        """Per-cell CIO vector (dB) added to A3 measurements."""
-        return self._offsets
-
-    def blocked_cells(self, ue_id: int) -> tuple[int, ...]:
-        """Cells ``ue_id`` may not enter (admission control)."""
-        cap = self.config.max_sessions
-        blocked = tuple(
-            cell
-            for cell, members in self._members.items()
-            if len(members) >= cap and ue_id not in members
-        )
-        return blocked
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def update_rates(
-        self, ue_id: int, unc_ul_bps: float, unc_dl_bps: float
-    ) -> None:
-        """Report a session's uncontended (full-budget) link rates."""
-        state = self._ues[ue_id]
-        state.unc_ul_bps = unc_ul_bps
-        state.unc_dl_bps = unc_dl_bps
-
-    @staticmethod
-    def _request(
-        demand_bps: float | None, unc_bps: float, budget: int
-    ) -> int:
-        """PRBs needed to serve ``demand_bps`` at this UE's efficiency."""
-        if demand_bps is None or unc_bps <= 0.0:
-            return budget
-        needed = math.ceil(demand_bps * budget / unc_bps)
-        return max(1, min(budget, needed))
-
-    def shares(self, ue_id: int) -> tuple[float, float]:
-        """Current (uplink, downlink) PRB share of ``ue_id`` in [0, 1]."""
-        state = self._ues[ue_id]
-        cell = state.cell
-        if cell is None:
-            return 1.0, 1.0
-        members = self._members[cell]
-        if len(members) == 1:
-            return 1.0, 1.0
-        config = self.config
-        index = members.index(ue_id)
-        ul_requests = [
-            self._request(
-                self._ues[u].demand_ul_bps,
-                self._ues[u].unc_ul_bps,
-                config.num_prb_ul,
-            )
-            for u in members
-        ]
-        dl_requests = [
-            self._request(
-                self._ues[u].demand_dl_bps,
-                self._ues[u].unc_dl_bps,
-                config.num_prb_dl,
-            )
-            for u in members
-        ]
-        ul_alloc = allocate_prbs(ul_requests, config.num_prb_ul)
-        dl_alloc = allocate_prbs(dl_requests, config.num_prb_dl)
-        return (
-            ul_alloc[index] / config.num_prb_ul,
-            dl_alloc[index] / config.num_prb_dl,
-        )
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def cell_load(self, cell: int) -> float:
-        """Uplink PRB utilization of ``cell`` in [0, 1]."""
-        members = self._members.get(cell)
-        if not members:
-            return 0.0
-        budget = self.config.num_prb_ul
-        requests = [
-            self._request(
-                self._ues[u].demand_ul_bps, self._ues[u].unc_ul_bps, budget
-            )
-            for u in members
-        ]
-        allocation = allocate_prbs(requests, budget)
-        used = sum(min(a, r) for a, r in zip(allocation, requests))
-        return used / budget
-
-    def loads(self) -> dict[int, float]:
-        """Uplink PRB utilization of every occupied cell."""
-        return {
-            cell: self.cell_load(cell)
-            for cell in sorted(self._members)
-            if self._members[cell]
-        }
-
-    def occupancy(self) -> dict[int, int]:
-        """Attached-session count of every occupied cell."""
-        return {
-            cell: len(members)
-            for cell, members in sorted(self._members.items())
-            if members
         }
 
 

@@ -292,17 +292,14 @@ class CellularChannel:
         self._outlier_until: float | None = None
         self._post_ho_until: float | None = None
         self._paths: list[NetworkPath] = []
-        #: Precomputed per-tick stochastic planes (a
-        #: :class:`repro.cellular.batch.TickPlan`); ``None`` means the
-        #: per-tick draw path.
+        #: Fleet plan (see :meth:`install_plan`): this member's
+        #: :class:`repro.cellular.batch.TickPlan`, the shared
+        #: :class:`repro.cellular.batch.FleetTickState` and its row
+        #: there, and the shared tick driver. ``None`` means an
+        #: unplanned single UE: per-tick draws, self re-arm.
         self._plan = None
-        #: Shared :class:`repro.cellular.batch.FleetTickState` hoisting
-        #: the L3 filter and interference powers across a fleet's
-        #: members (``None`` outside fleet-fast runs), plus this
-        #: member's row in its stacked planes.
         self._plan_state = None
         self._plan_row = 0
-        #: Shared fleet tick driver (``None`` -> self re-arm).
         self._fleet_ticker = None
         self.samples: list[CapacitySample] = []
         self.rssi_log: list[RssiReport] = []
@@ -350,10 +347,8 @@ class CellularChannel:
         """Instantaneous downlink capacity in bits/s."""
         return self._downlink_bps
 
-    def install_plan(
-        self, plan, *, state=None, row: int = 0, ticker=None
-    ) -> None:
-        """Install precomputed per-tick stochastic planes.
+    def install_plan(self, plan, state, row: int, ticker) -> None:
+        """Enroll this channel as member ``row`` of a planned fleet.
 
         ``plan`` is a :class:`repro.cellular.batch.TickPlan` covering
         this channel's whole horizon, built with one block RNG refill
@@ -361,20 +356,20 @@ class CellularChannel:
         A planned channel skips the per-tick shadowing/fast-fading/
         measurement/fading draws in :meth:`_tick` and reads the
         precomputed rows instead — bit-identical values, consumed from
-        the same derived streams. Must be installed before
-        :meth:`start`; ticking past the plan's horizon raises (the
-        block refills already consumed the generators, so a scalar
-        fallback could not be bit-identical).
+        the same derived streams. Ticking past the plan's horizon
+        raises (the block refills already consumed the generators, so
+        a scalar fallback could not be bit-identical).
 
-        ``state``/``row`` additionally enroll the channel in a shared
+        ``state`` is the fleet's shared
         :class:`repro.cellular.batch.FleetTickState`: the L3 filter
-        recursion and the interference powers are then advanced once
-        per tick for the whole fleet and this member reads row ``row``
-        (see :func:`repro.cellular.batch.install_fleet_plans`).
-        ``ticker`` hands tick scheduling to a shared
+        recursion and the interference powers advance once per tick
+        for the whole fleet and this member reads row ``row``.
+        ``ticker`` is the shared
         :class:`repro.cellular.batch.FleetTicker`: after the
-        synchronous tick 0 this channel stops re-arming itself and
-        the ticker drives every member with one loop event per tick.
+        synchronous tick 0 this channel stops re-arming itself and the
+        ticker drives every member with one loop event per tick. Must
+        be installed before :meth:`start`; use
+        :func:`repro.cellular.batch.install_fleet_plans`.
         """
         if self._started:
             raise RuntimeError("cannot install a plan on a started channel")
@@ -384,9 +379,19 @@ class CellularChannel:
         self._fleet_ticker = ticker
 
     def start(self) -> None:
-        """Begin the 10 Hz measurement/update loop."""
+        """Begin the 10 Hz measurement/update loop.
+
+        A contended channel must be a planned fleet member: only the
+        planned tick ranks cells with the scheduler's load-balancing
+        offsets and admission blocks.
+        """
         if self._started:
             raise RuntimeError("channel already started")
+        if self._contention is not None and self._plan is None:
+            raise RuntimeError(
+                "a contended channel needs a fleet plan: call "
+                "repro.cellular.batch.install_fleet_plans before start()"
+            )
         self._started = True
         self._anchor = self._loop.now
         self._tick()
@@ -434,8 +439,8 @@ class CellularChannel:
     def _tick(self) -> None:
         now = self._loop.now
         plan = self._plan
-        state = None
         if plan is None:
+            # Unplanned single UE: draw every stochastic plane per tick.
             det_row, loss_row, altitude = self._geometry_row(self._tick_index)
             shadow = self._shadowing.sample(now, altitude)
             frac = min(altitude / 40.0, 1.0)
@@ -454,12 +459,16 @@ class CellularChannel:
                 + self._meas_rng.normal(0.0, noise_std, size=det_row.shape)
                 + frac * self.config.air_fastfade_std_db * self._fastfade
             )
+            event = self.engine.measure(now, rsrp, altitude=altitude)
+            self._shadow = shadow
         else:
-            # Planned tick: every stochastic plane was precomputed by
-            # build_tick_plans with one block refill per stream —
-            # bit-identical values, no per-tick draws. The outlier
-            # stream below stays live (its draws are altitude-gated and
-            # cannot be counted ahead of time).
+            # Planned fleet member: every stochastic plane was
+            # precomputed by build_tick_plans with one block refill per
+            # stream, and the L3 filter and interference powers advance
+            # once per tick for the whole fleet (one matrix op each);
+            # this member only reads its rows. The outlier stream below
+            # stays live (its draws are altitude-gated and cannot be
+            # counted ahead of time).
             k = self._tick_index
             if k >= len(plan.rsrp):
                 raise RuntimeError(
@@ -473,21 +482,11 @@ class CellularChannel:
             self._fastfade = plan.fastfade[k]
             self._fading_db = plan.fading[k]
             state = self._plan_state
-            if state is not None:
-                # Fleet-fast: the L3 filter recursion and the
-                # interference powers advance once per tick for every
-                # member (one matrix op each); this member only reads
-                # its rows below.
-                state.advance(k)
-            else:
-                rsrp = plan.rsrp[k]
-        if self._contention is None:
-            event = self.engine.measure(now, rsrp, altitude=altitude)
-        elif state is not None:
+            state.advance(k)
             ticker = self._fleet_ticker
+            row = self._plan_row
             if (
-                ticker is not None
-                and ticker.hint_k == self._tick_index
+                ticker.hint_k == k
                 and ticker.hint_topo == self._contention._topo_version
             ):
                 # The fleet-wide masked argmax from this tick's
@@ -495,56 +494,40 @@ class CellularChannel:
                 # skip the per-member ranking entirely.
                 event = self.engine.measure_prefiltered(
                     now,
-                    state.f_matrix[self._plan_row],
+                    state.f_matrix[row],
                     altitude=altitude,
                     hint=(
-                        int(ticker.hint_best[self._plan_row]),
-                        float(ticker.hint_margin[self._plan_row]),
+                        int(ticker.hint_best[row]),
+                        float(ticker.hint_margin[row]),
                     ),
                 )
             else:
                 event = self.engine.measure_prefiltered(
                     now,
-                    state.f_matrix[self._plan_row],
+                    state.f_matrix[row],
                     altitude=altitude,
                     offsets=self._contention.offsets(),
                     blocked=self._contention.blocked_cells(self._ue_id),
                 )
-        else:
-            event = self.engine.measure(
-                now,
-                rsrp,
-                altitude=altitude,
-                offsets=self._contention.offsets(),
-                blocked=self._contention.blocked_cells(self._ue_id),
-            )
-        if plan is None:
-            self._shadow = shadow
         if event is not None:
             self._begin_outage(event.execution_time)
         self.cells_seen.add(self.engine.serving_cell)
         if plan is None:
             self._update_fading(altitude)
         self._update_outliers(now, altitude)
-        if state is None:
+        if plan is None:
             uplink, downlink, sinr = self._capacity(now, altitude, loss_row)
         else:
             # Neighbour interference from the hoisted power matrix: a
             # slice-based others-sum replacing np.delete + np.power per
-            # member (value-identical; same pattern as run_lockstep,
-            # guarded by the fleet fingerprint gates). The ticker
-            # precomputes the sums fleet-wide; a member whose serving
-            # cell moved this tick recomputes its own.
+            # member (value-identical; same pattern as run_lockstep).
+            # The ticker precomputes the sums fleet-wide; a member
+            # whose serving cell moved this tick recomputes its own.
             sc = self.engine.serving_cell
-            ticker = self._fleet_ticker
-            if (
-                ticker is not None
-                and ticker.sums_k == self._tick_index
-                and ticker.tick_serving[self._plan_row] == sc
-            ):
-                others_sum = float(ticker.others_mw[self._plan_row])
+            if ticker.sums_k == k and ticker.tick_serving[row] == sc:
+                others_sum = float(ticker.others_mw[row])
             else:
-                prow = state.powered[self._plan_row]
+                prow = state.powered[row]
                 others = np.empty(len(prow) - 1)
                 others[:sc] = prow[:sc]
                 others[sc:] = prow[sc + 1:]
@@ -554,7 +537,6 @@ class CellularChannel:
             uplink, downlink, sinr = self._capacity(
                 now, altitude, loss_row, interference_ratio=ratio
             )
-        if self._contention is not None:
             uplink, downlink = self._contend(now, uplink, downlink)
         self._uplink_bps = uplink
         self._downlink_bps = downlink
@@ -588,7 +570,7 @@ class CellularChannel:
                 )
             )
         self._tick_index += 1
-        if self._fleet_ticker is not None:
+        if plan is not None:
             # The shared FleetTicker drives all subsequent ticks with
             # one loop event for the whole fleet; the last member's
             # synchronous tick 0 arms it.

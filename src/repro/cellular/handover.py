@@ -164,52 +164,26 @@ class HandoverEngine:
         return float(neighbours.max() - self._filtered[self.serving_cell])
 
     def measure(
-        self,
-        now: float,
-        rsrp: np.ndarray,
-        *,
-        altitude: float = 0.0,
-        offsets: np.ndarray | None = None,
-        blocked: tuple[int, ...] | None = None,
+        self, now: float, rsrp: np.ndarray, *, altitude: float = 0.0
     ) -> HandoverEvent | None:
         """Process one RSRP measurement; maybe trigger a handover.
 
-        ``offsets`` is an optional per-cell bias vector in dB (the
-        load-balancing cell-individual offsets from
-        :class:`repro.cellular.cell.CellContention`) added to the
-        filtered RSRP for cell selection and the A3 margin; ``blocked``
-        lists cells that must not be selected (admission control).
-        Both default to the uncontended single-UE behaviour.
+        The uncontended single-UE step. Fleet members rank cells under
+        load-balancing offsets and admission blocks through
+        :meth:`measure_prefiltered` instead.
         """
         if self._filtered is None:
             self._filtered = rsrp.astype(float).copy()
-            if offsets is None and not blocked:
-                self.serving_cell = int(np.argmax(self._filtered))
-            else:
-                self.serving_cell = self._select_initial(offsets, blocked)
+            self.serving_cell = int(np.argmax(self._filtered))
             return None
         alpha = self.config.l3_filter_alpha
         self._filtered = (1 - alpha) * self._filtered + alpha * rsrp
         if self._gate(now):
             return None
-        if offsets is None and not blocked:
-            neighbours = self._filtered.copy()
-            serving_score = self._filtered[self.serving_cell]
-        else:
-            # Load-aware cell ranking (A3 with CIO: Mn + Ocn > Ms +
-            # Ocs + Hys): crowded cells advertise a negative CIO on
-            # both sides of the margin, full cells are unselectable.
-            neighbours = self._filtered.copy()
-            serving_score = self._filtered[self.serving_cell]
-            if offsets is not None:
-                neighbours = neighbours + offsets
-                serving_score = serving_score + offsets[self.serving_cell]
-            if blocked:
-                for cell in blocked:
-                    neighbours[cell] = -np.inf
+        neighbours = self._filtered.copy()
         neighbours[self.serving_cell] = -np.inf
         best = int(np.argmax(neighbours))
-        margin = neighbours[best] - serving_score
+        margin = neighbours[best] - self._filtered[self.serving_cell]
         return self._evaluate(now, best, float(margin), altitude)
 
     def measure_prefiltered(
@@ -222,20 +196,23 @@ class HandoverEngine:
         blocked: tuple[int, ...] = (),
         hint: tuple[int, float] | None = None,
     ) -> HandoverEvent | None:
-        """:meth:`measure` with the L3 filter already applied.
+        """A fleet member's A3 step, with the L3 filter already applied.
 
-        The batched fleet path advances the EWMA filter for *all*
-        members in one ``(n_members, n_cells)`` matrix op per tick
-        (see :class:`repro.cellular.batch.FleetTickState`) and hands
-        each engine its row here. ``filtered`` must be exactly the
-        value :meth:`measure` would have computed — the matrix
-        recursion is elementwise-identical to the per-member one, and
-        the fleet fingerprint gates pin the equality. Everything
-        after the filter update (first-measurement camping, the
-        gate, the CIO-biased neighbour ranking, the A3 state machine)
-        is evaluated per member against live contention state, since
-        offsets and admission blocks mutate *within* a tick as
-        earlier members attach.
+        A fleet advances the EWMA filter for *all* members in one
+        ``(n_members, n_cells)`` matrix op per tick (see
+        :class:`repro.cellular.batch.FleetTickState`) and hands each
+        engine its row here; the matrix recursion is
+        elementwise-identical to :meth:`measure`'s per-UE one.
+        ``offsets`` is the per-cell load-balancing bias in dB (the
+        cell-individual offsets of
+        :class:`repro.cellular.cell.CellContention`) added to the
+        filtered RSRP on both sides of the A3 margin; ``blocked``
+        lists cells that must not be selected (admission control).
+        Everything after the filter update (first-measurement camping,
+        the gate, the CIO-biased neighbour ranking, the A3 state
+        machine) is evaluated per member against live contention
+        state, since offsets and admission blocks mutate *within* a
+        tick as earlier members attach.
 
         ``hint`` short-circuits the neighbour ranking with a
         ``(best, margin)`` pair the fleet ticker precomputed for the

@@ -11,14 +11,20 @@ CI gates compare one value instead of re-deriving field lists:
   :class:`~repro.core.session.SessionResult` (per-packet transport
   log, playback records, handovers, capacity samples, counters);
 * :func:`probe_fingerprint` — the channel-only dataset of a
-  :class:`~repro.experiments.probes.ChannelProbeSeed`.
+  :class:`~repro.experiments.probes.ChannelProbeSeed`;
+* :func:`fleet_fingerprint` — every member's session fingerprint of a
+  :class:`~repro.core.fleet.FleetResult` plus its shared-cell
+  occupancy, peak occupancy and congestion time.
 
 Floats are compared exactly (no tolerance): two runs either consumed
 identical random draws through identical arithmetic or they did not.
+:func:`digest` reduces a fingerprint to the sha256 that the golden
+files under ``tests/golden/`` pin.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any
 
 
@@ -75,3 +81,22 @@ def probe_fingerprint(probe: Any) -> tuple:
         probe.cells_seen,
         probe.ping_pong,
     )
+
+
+def fleet_fingerprint(result: Any) -> tuple:
+    """Exact-equality digest of one :class:`FleetResult`."""
+    return (
+        tuple(session_fingerprint(session) for session in result.sessions),
+        tuple(sorted(result.occupancy.items())),
+        tuple(sorted(result.peak_occupancy.items())),
+        tuple(result.congestion_time),
+    )
+
+
+def digest(fingerprint: Any) -> str:
+    """sha256 hex digest of ``repr(fingerprint)``.
+
+    ``repr`` writes every float as its shortest round-tripping string,
+    so the digest changes with any last-ulp drift in the fingerprint.
+    """
+    return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()

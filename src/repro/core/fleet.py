@@ -31,7 +31,6 @@ from repro.cellular.batch import install_fleet_plans
 from repro.cellular.cell import (
     CellCapacityConfig,
     CellContention,
-    ScalarCellContention,
     normalize_cell_map,
 )
 from repro.cellular.channel import MEASUREMENT_PERIOD
@@ -82,12 +81,9 @@ class FleetConfig:
         Shared per-cell PRB budget / admission / load-balancing knobs.
     trace_members:
         Member indices sampled for **full tracing**: each listed
-        member runs with its own :class:`~repro.obs.Recorder` on
-        per-tick scalar draws (the reference code path a diagnose
-        trace expects to observe), while the rest of the fleet stays
-        on the vectorized plan. Bit-identity is preserved — the
-        shared ticker still fires every member in session order —
-        and the sampled traces land in
+        member runs with its own :class:`~repro.obs.Recorder` on the
+        same planned tick as every other member, so sampling perturbs
+        no member's packets; the sampled traces land in
         ``result.extra["member_traces"]``.
     """
 
@@ -171,12 +167,23 @@ def run_fleet(
     *,
     recorder: NullRecorder | None = None,
     obs: "ObsLevel | str | bool | None" = None,
-    fast: bool = True,
 ) -> FleetResult:
     """Execute one fleet run and collect every session's dataset.
 
     All sessions share a single event loop, the base seed's cell
-    layout, and one :class:`CellContention`.
+    layout, and one :class:`CellContention`. A fleet runs one engine:
+    :func:`~repro.cellular.batch.install_fleet_plans` stacks every
+    member's whole-horizon tick plan (one block RNG refill per
+    stream, translated-trajectory geometry shared through the
+    base-position cache) and one shared
+    :class:`~repro.cellular.batch.FleetTicker` drives all members'
+    ticks. Ring members fly
+    :class:`~repro.flight.trajectory.TranslatedTrajectory` copies of
+    the base route (the translation applies after interpolation) and
+    member 0 flies the unmodified route, so an N=1 fleet stays
+    bit-identical to :func:`repro.core.session.run_session`. The
+    golden fleet digests in ``tests/golden/fingerprints.json`` pin
+    the output.
 
     Observability is tiered through ``obs`` (an
     :class:`~repro.obs.ObsLevel` or its string/bool spellings):
@@ -198,32 +205,11 @@ def run_fleet(
     Passing a ``recorder`` explicitly keeps its historical meaning
     (the instance is shared by every session and wins over ``obs``).
     Independently, ``config.trace_members`` samples k members for
-    diagnose-quality tracing from inside a vectorized fleet: each
-    sampled member runs a private recorder on per-tick scalar draws
-    while the rest keep their plans (see
-    :func:`~repro.cellular.batch.install_fleet_plans`), and the
-    sampled traces land in ``result.extra["member_traces"]``.
+    diagnose-quality tracing: each sampled member runs a private
+    recorder on the same planned tick as the rest of the fleet, and
+    the sampled traces land in ``result.extra["member_traces"]``.
     ``trace_members`` cannot combine with the ``trace`` tier — the
     shared recorder already covers every member.
-
-    ``fast`` selects the fleet-scale fast path (the default): the
-    vectorized struct-of-arrays :class:`CellContention` plus
-    whole-horizon tick plans shared across members
-    (:func:`~repro.cellular.batch.install_fleet_plans` — one block RNG
-    refill per stream instead of per-tick draws, translated-trajectory
-    geometry shared through the base-position cache). ``fast=False``
-    runs the reference path — the dict/loop
-    :class:`ScalarCellContention` and per-tick draws — which the
-    fingerprint suite pins packet-for-packet equal to the fast path
-    and ``benchmarks/test_fleet_scale.py`` uses as the speedup
-    baseline. The metrics plane ingests the identical per-tick rows
-    on both arms (live channel state vs. recorded samples), so even
-    the metrics snapshots are bit-identical across ``fast``. Ring
-    members fly :class:`~repro.flight.trajectory.TranslatedTrajectory`
-    copies of the base route in either mode (the translation applies
-    after interpolation), and member 0 always flies the unmodified
-    route, so an N=1 fleet stays bit-identical to
-    :func:`repro.core.session.run_session` on both arms.
     """
     level = ObsLevel.coerce(obs)
     if recorder is not None:
@@ -253,8 +239,7 @@ def run_fleet(
     base = config.base
     profile = get_profile(base.operator, base.environment.value)
     layout = profile.build_layout(RngStreams(base.seed).derive("layout"))
-    contention_cls = CellContention if fast else ScalarCellContention
-    contention = contention_cls(len(layout), config.cell_capacity)
+    contention = CellContention(len(layout), config.cell_capacity)
     plane = (
         FleetMetricsPlane(
             config.num_sessions,
@@ -304,16 +289,10 @@ def run_fleet(
         )
 
     channels = [handle.channel for handle in handles]
-    if fast:
-        install_fleet_plans(
-            channels,
-            base.duration,
-            exclude=config.trace_members,
-            plane=plane,
-        )
+    install_fleet_plans(channels, base.duration, plane=plane)
     for handle in handles:
         handle.start()
-    if fast and plane is not None:
+    if plane is not None:
         # Tick 0 ran synchronously inside start(); the ticker only
         # fires from tick 1, so the plane ingests the first tick here.
         plane.observe_channels(channels)
@@ -322,11 +301,6 @@ def run_fleet(
         handle.stop()
     for handle in handles:
         handle.finish(loop.now)
-    if not fast and plane is not None:
-        # Scalar arm: replay the recorded samples through the same
-        # per-tick ingest op, so the snapshot is bit-identical to the
-        # live arm's.
-        plane.observe_samples([ch.samples for ch in channels])
 
     sessions = [handle.collect() for handle in handles]
     extra: dict = {}

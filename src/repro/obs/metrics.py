@@ -383,16 +383,15 @@ class FleetMetricsPlane:
     the per-member instruments as ``(N,)``/``(N, buckets)`` numpy
     arrays and ingests one row set per fleet tick:
 
-    * :meth:`observe_channels` — the vectorized arm: the
+    * :meth:`observe_channels` — the
       :class:`~repro.cellular.batch.FleetTicker` calls it once per
       tick, after all member ``_tick``s, reading the live per-channel
       state (``_uplink_bps`` / ``_share_ul`` / ``_sinr_db``).
-    * :meth:`observe_samples` — the scalar arm: replays the identical
-      per-tick ingestion from the members' recorded
-      :class:`~repro.cellular.channel.CapacitySample` lists at collect
-      time, so a ``fast=False`` (or batch-fallback) run produces a
-      **bit-identical** snapshot — the float accumulation order per
-      member is the same sequential per-tick add on both arms.
+    * :meth:`observe_samples` — replays the identical per-tick
+      ingestion from recorded
+      :class:`~repro.cellular.channel.CapacitySample` lists, giving a
+      bit-identical snapshot. No simulator path calls it; it stays as
+      an entry point of the ``benchmarks/perf`` layer shim.
 
     :meth:`snapshot` renders the arrays in the exact record format of
     :meth:`MetricsRegistry.snapshot` (histogram edges from
@@ -476,8 +475,11 @@ class FleetMetricsPlane:
 
         ``member_samples`` is one sample sequence per member, all the
         same length (fleet members tick in lockstep). Each tick goes
-        through the same :meth:`_ingest` op as the live arm so float
-        totals accumulate in the identical order.
+        through the same :meth:`_ingest` op as
+        :meth:`observe_channels` so float totals accumulate in the
+        identical order. No production caller: ``run_fleet`` feeds the
+        plane live, and this method is kept only because the
+        ``benchmarks/perf`` layer shim lists it as an entry point.
         """
         if not member_samples:
             return

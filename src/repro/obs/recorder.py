@@ -40,8 +40,9 @@ class ObsLevel(enum.Enum):
       :class:`~repro.obs.metrics.FleetMetricsPlane`).
     * ``TRACE`` — the full sim-time trace plus metrics. Trace-level
       units are excluded from struct-of-arrays batches (the trace is
-      part of the payload) and fleet members sampled via
-      ``FleetConfig.trace_members`` run with per-tick scalar draws.
+      part of the payload); fleet members sampled via
+      ``FleetConfig.trace_members`` trace on the same planned tick as
+      the rest of their fleet.
     """
 
     OFF = "off"

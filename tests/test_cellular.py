@@ -377,10 +377,15 @@ class TestHandoverEdgeCases:
 
     def test_blocked_neighbour_is_never_selected(self):
         engine = self.make_engine(num_cells=2, time_to_trigger=0.2)
-        engine.measure(0.0, np.array([-60.0, -90.0]), blocked=(1,))
+        no_offsets = np.zeros(2)
+        engine.measure_prefiltered(
+            0.0, np.array([-60.0, -90.0]), altitude=0.0,
+            offsets=no_offsets, blocked=(1,),
+        )
         for i in range(1, 50):
-            event = engine.measure(
-                i * 0.1, np.array([-90.0, -60.0]), blocked=(1,)
+            event = engine.measure_prefiltered(
+                i * 0.1, np.array([-90.0, -60.0]), altitude=0.0,
+                offsets=no_offsets, blocked=(1,),
             )
             assert event is None  # only neighbour is full -> stay
             assert not engine.a3_pending()
@@ -390,13 +395,17 @@ class TestHandoverEdgeCases:
         engine = self.make_engine(
             num_cells=2, time_to_trigger=0.2, hysteresis_db=3.0
         )
-        rsrp = np.array([-60.0, -62.0])  # neighbour 2 dB weaker: no A3
-        engine.measure(0.0, rsrp)
+        filtered = np.array([-60.0, -62.0])  # neighbour 2 dB weaker: no A3
+        engine.measure_prefiltered(
+            0.0, filtered, altitude=0.0, offsets=np.zeros(2)
+        )
         assert engine.serving_cell == 0
         offsets = np.array([-6.0, 0.0])  # serving cell crowded
         events = []
         for i in range(1, 30):
-            event = engine.measure(i * 0.1, rsrp, offsets=offsets)
+            event = engine.measure_prefiltered(
+                i * 0.1, filtered, altitude=0.0, offsets=offsets
+            )
             if event is not None:
                 events.append(event)
         assert len(events) == 1

@@ -1,47 +1,78 @@
-"""Bit-identity gates: every batched/derived execution path must
-reproduce the scalar simulator packet-for-packet.
+"""Bit-identity gates: golden digests per numerics environment.
+
+Every pinned run below is reduced to a fingerprint
+(:mod:`repro.core.fingerprint`) and its sha256 :func:`digest` is
+checked against ``tests/golden/fingerprints.json``. Two engines that
+share a bug also agree with each other; a checked-in digest does not
+move unless the simulator's output does.
 
 Seven pinned configs span the scenario axes that exercise different
-code paths in the batched kernels — CC algorithm (per-run control
-state), environment (propagation config), platform (shared air
-trajectory vs per-seed ground routes), operator (layout), and the
-``extra`` overrides that reshape handover behaviour. For each config
-the suite pins:
+code paths — CC algorithm (per-run control state), environment
+(propagation config), platform (shared air trajectory vs per-seed
+ground routes), operator (layout), and the ``extra`` overrides that
+reshape handover behaviour. Three pinned fleets add load-balancing
+churn, admission caps and ground routes, and the N=64 dense shape
+``benchmarks/test_fleet_scale.py`` times adds a ~43-member cell.
+Golden cases:
 
-* batched channel probes == per-seed scalar probes;
-* batched sessions (``SweepDrawPlan`` preloads via the runner's batch
-  executor) == per-seed scalar ``run_session``;
-* an N=1 fleet == the plain session;
-* a traced (``Recorder``) session == an untraced one;
-* the vectorized fleet fast path (struct-of-arrays contention +
-  member-stacked tick plans + the shared fleet ticker) == the scalar
-  reference contention, across pinned fleet configs that exercise
-  handovers under load balancing, admission caps, and ground routes;
-* a metrics-level fleet (``obs="metrics"``, the vectorized
-  :class:`FleetMetricsPlane` riding the fleet ticker) == the dark
-  fleet, and its plane snapshot is itself bit-identical between the
-  fast and scalar arms;
-* a sample-traced fleet (``trace_members``) == the dark fleet, its
-  member traces invariant across arms, and for N=1 identical to a
-  plain traced session.
+* every channel probe (4 seeds) and session (2 seeds) of the pinned
+  configs;
+* every pinned fleet (member fingerprints plus occupancy, peak and
+  congestion time), and its metrics-tier ``fleet/*`` plane records;
+* the full trace and metrics of a trace-sampled fleet member;
+* the dense N=64 fleet.
 
-Comparisons are exact float equality through
-:mod:`repro.core.fingerprint` — no tolerances. Any drift here means a
-refactor changed draw order or arithmetic, which silently invalidates
-every cached campaign result; CI runs this file as its own job.
+Live comparisons between two production paths run beside the golden
+checks: batched vs per-seed probes and sessions, an N=1 fleet vs the
+plain session, traced vs untraced, ``obs="metrics"`` vs dark fleets
+and trace-sampled vs dark fleets.
+
+Why per environment: numpy picks SIMD kernels for ``np.power`` and
+friends from the CPU at import time, and its AVX-512 kernels round
+some inputs differently in the last ulp than its AVX2/libm ones. Every
+channel digest inherits that difference, so the golden file keys one
+block of digests by :func:`numerics_environment`. An unrecorded
+environment fails with its id; after checking the live comparisons
+pass there, record it with::
+
+    PYTHONPATH=src python tests/test_fingerprints.py --accept "<reason>"
+
+which rewrites only the current environment's block and stores the
+reason in it. Any drift of a recorded digest means a change altered
+draw order or arithmetic, which silently invalidates every cached
+campaign result; CI runs this file as its own job.
 """
 
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.cellular.cell import CellCapacityConfig
 from repro.core.config import ScenarioConfig
-from repro.core.fingerprint import probe_fingerprint, session_fingerprint
+from repro.core.fingerprint import (
+    digest,
+    fleet_fingerprint,
+    probe_fingerprint,
+    session_fingerprint,
+)
 from repro.core.fleet import FleetConfig, run_fleet
 from repro.core.session import run_session
 from repro.experiments.probes import channel_probe_batch, channel_probe_seed
-from repro.obs import Recorder
+from repro.obs import Recorder, trace_to_dicts
 from repro.runner import WORK_SESSION, execute_batch, plan_batches
 from repro.runner.work import make_unit
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "fingerprints.json"
+ACCEPT_COMMAND = (
+    'PYTHONPATH=src python tests/test_fingerprints.py --accept "<reason>"'
+)
 
 #: The seven pinned configs (duration/seed applied per test).
 PINNED = {
@@ -76,36 +107,10 @@ SESSION_SEEDS = (1, 2)
 PROBE_DURATION = 60.0
 SESSION_DURATION = 10.0
 
-
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_probe_batch_bit_identical(name):
-    configs = [
-        PINNED[name].with_overrides(seed=seed, duration=PROBE_DURATION)
-        for seed in PROBE_SEEDS
-    ]
-    scalar = [probe_fingerprint(channel_probe_seed(c)) for c in configs]
-    batched = [probe_fingerprint(p) for p in channel_probe_batch(configs)]
-    assert batched == scalar
-
-
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_session_batch_bit_identical(name):
-    configs = [
-        PINNED[name].with_overrides(seed=seed, duration=SESSION_DURATION)
-        for seed in SESSION_SEEDS
-    ]
-    scalar = [session_fingerprint(run_session(c)) for c in configs]
-    units = [make_unit(WORK_SESSION, c) for c in configs]
-    plans, leftovers = plan_batches(list(enumerate(units)))
-    assert leftovers == [] and len(plans) == 1
-    batched = [session_fingerprint(r) for r in execute_batch(plans[0])]
-    assert batched == scalar
-
-
-#: Pinned fleet configs for the fast == scalar contention gate. Axes:
-#: load-balancing CIO churn under GCC, admission caps small enough to
-#: block cells mid-run (forcing the ticker's per-member fallback), and
-#: per-seed ground routes (no shared trajectory cache).
+#: Pinned fleet configs. Axes: load-balancing CIO churn under GCC,
+#: admission caps small enough to block cells mid-run (defeating the
+#: ticker's fleet-wide A3 hint), and per-seed ground routes (no shared
+#: trajectory cache).
 FLEET_PINNED = {
     "gcc-urban-air-n4": dict(
         base=ScenarioConfig(cc="gcc", environment="urban", platform="air"),
@@ -127,124 +132,262 @@ FLEET_PINNED = {
     ),
 }
 
+#: The fleet and member whose full trace is pinned.
+TRACED_FLEET = "gcc-urban-air-n4"
+TRACED_MEMBER = 2
 
-@pytest.mark.parametrize("name", sorted(FLEET_PINNED))
-def test_fleet_fast_bit_identical_to_scalar(name):
+#: The N=64 dense shape ``benchmarks/test_fleet_scale.py`` times: load
+#: balancing off so members pile onto the strongest cells (peak ~43 on
+#: one cell), and the encoder clamped to a trickle so the run measures
+#: the contention/tick machinery, not media work.
+DENSE_FLEET = FleetConfig(
+    base=ScenarioConfig(
+        cc="static",
+        environment="urban",
+        platform="air",
+        operator="P1",
+        seed=7,
+        duration=20.0,
+        static_bitrate=1e4,
+        min_bitrate=1e4,
+        max_bitrate=2e4,
+        fps=0.5,
+    ),
+    num_sessions=64,
+    spread_radius=25.0,
+    cell_capacity=CellCapacityConfig(max_sessions=64, lb_step_db=0.0),
+)
+DENSE_CASE = "fleet/dense-n64"
+
+
+def numerics_environment() -> str:
+    """Id of the numpy kernels the channel's floating-point math runs on.
+
+    The sha256 of what ``np.power``, ``np.log10``, ``np.exp``,
+    ``np.arctan2`` and ``np.sin`` — the ufuncs behind channel geometry
+    and neighbour interference — return on a fixed grid. Hosts whose
+    kernels round any grid point differently get different ids. The id
+    deliberately involves no simulator code.
+    """
+    grid = np.linspace(-16.0, 16.0, 65_537)
+    hasher = hashlib.sha256()
+    for values in (
+        np.power(10.0, grid),
+        np.log10(np.abs(grid) + 1e-3),
+        np.exp(grid),
+        np.arctan2(grid, grid[::-1]),
+        np.sin(grid),
+    ):
+        hasher.update(values.tobytes())
+    return hasher.hexdigest()
+
+
+def probe_case(name: str, seed: int) -> str:
+    return f"probe/{name}/seed={seed}"
+
+
+def session_case(name: str, seed: int) -> str:
+    return f"session/{name}/seed={seed}"
+
+
+def fleet_case(name: str) -> str:
+    return f"fleet/{name}"
+
+
+def plane_case(name: str) -> str:
+    return f"fleet-plane/{name}"
+
+
+MEMBER_TRACE_CASE = f"member-trace/{TRACED_FLEET}/member={TRACED_MEMBER}"
+
+
+def probe_configs(name: str) -> list[ScenarioConfig]:
+    return [
+        PINNED[name].with_overrides(seed=seed, duration=PROBE_DURATION)
+        for seed in PROBE_SEEDS
+    ]
+
+
+def session_configs(name: str) -> list[ScenarioConfig]:
+    return [
+        PINNED[name].with_overrides(seed=seed, duration=SESSION_DURATION)
+        for seed in SESSION_SEEDS
+    ]
+
+
+def fleet_config(name: str, **overrides) -> FleetConfig:
     spec = dict(FLEET_PINNED[name])
     spec["base"] = spec["base"].with_overrides(
         seed=3, duration=SESSION_DURATION
     )
-    config = FleetConfig(**spec)
-    fast = run_fleet(config, fast=True)
-    scalar = run_fleet(config, fast=False)
-    assert [session_fingerprint(s) for s in fast.sessions] == [
-        session_fingerprint(s) for s in scalar.sessions
-    ]
-    assert fast.occupancy == scalar.occupancy
-    assert fast.peak_occupancy == scalar.peak_occupancy
-    assert fast.congestion_time == scalar.congestion_time
+    return FleetConfig(**{**spec, **overrides})
 
 
-def test_n1_fleet_bit_identical_to_session():
-    config = PINNED["static-urban-air"].with_overrides(
-        seed=3, duration=SESSION_DURATION
+def plane_records(result) -> list[dict]:
+    """The metrics-tier ``fleet/*`` records of a fleet run."""
+    return [r for r in result.extra["metrics"] if r["name"].startswith("fleet/")]
+
+
+def member_trace(result, member: int) -> tuple:
+    """A trace-sampled member's full trace and metrics snapshot."""
+    sampled = result.extra["member_traces"][str(member)]
+    return sampled["trace"], sampled["metrics"]
+
+
+def golden_fingerprints():
+    """Yield ``(case, fingerprint)`` for every golden case."""
+    for name in sorted(PINNED):
+        for config in probe_configs(name):
+            yield (
+                probe_case(name, config.seed),
+                probe_fingerprint(channel_probe_seed(config)),
+            )
+        for config in session_configs(name):
+            yield (
+                session_case(name, config.seed),
+                session_fingerprint(run_session(config)),
+            )
+    for name in sorted(FLEET_PINNED):
+        yield fleet_case(name), fleet_fingerprint(run_fleet(fleet_config(name)))
+        metered = run_fleet(fleet_config(name), obs="metrics")
+        yield plane_case(name), plane_records(metered)
+    sampled = run_fleet(
+        fleet_config(TRACED_FLEET, trace_members=(TRACED_MEMBER,))
     )
+    yield MEMBER_TRACE_CASE, member_trace(sampled, TRACED_MEMBER)
+    yield DENSE_CASE, fleet_fingerprint(run_fleet(DENSE_FLEET))
+
+
+def load_golden() -> dict[str, str]:
+    """This numerics environment's golden digests; fails if unrecorded."""
+    environment = numerics_environment()
+    blocks = json.loads(GOLDEN_PATH.read_text())["environments"]
+    if environment not in blocks:
+        pytest.fail(
+            f"numerics environment {environment} (numpy {np.__version__}, "
+            f"Python {platform.python_version()}) has no block in "
+            "tests/golden/fingerprints.json. Check that the live "
+            "comparisons in tests/test_fingerprints.py pass here, then "
+            f"record it with: {ACCEPT_COMMAND}",
+            pytrace=False,
+        )
+    return blocks[environment]["cases"]
+
+
+def assert_golden(golden: dict[str, str], case: str, fingerprint) -> None:
+    assert case in golden, f"golden case {case} is not recorded"
+    assert digest(fingerprint) == golden[case], (
+        f"{case} drifted from its golden digest"
+    )
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return load_golden()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_probe_batch_bit_identical(name, golden):
+    configs = probe_configs(name)
+    scalar = [probe_fingerprint(channel_probe_seed(c)) for c in configs]
+    batched = [probe_fingerprint(p) for p in channel_probe_batch(configs)]
+    assert batched == scalar
+    for config, fingerprint in zip(configs, scalar):
+        assert_golden(golden, probe_case(name, config.seed), fingerprint)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_session_batch_bit_identical(name, golden):
+    configs = session_configs(name)
+    scalar = [session_fingerprint(run_session(c)) for c in configs]
+    units = [make_unit(WORK_SESSION, c) for c in configs]
+    plans, leftovers = plan_batches(list(enumerate(units)))
+    assert leftovers == [] and len(plans) == 1
+    batched = [session_fingerprint(r) for r in execute_batch(plans[0])]
+    assert batched == scalar
+    for config, fingerprint in zip(configs, scalar):
+        assert_golden(golden, session_case(name, config.seed), fingerprint)
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_PINNED))
+def test_fleet_fast_bit_identical_to_scalar(name, golden):
+    """The fleet engine reproduces the scalar reference it replaced.
+
+    The golden fleet digests were recorded while ``run_fleet`` still
+    had a scalar reference arm (dict/loop contention, per-tick draws),
+    and both arms produced them; the digest now stands in for that
+    arm.
+    """
+    assert_golden(
+        golden, fleet_case(name), fleet_fingerprint(run_fleet(fleet_config(name)))
+    )
+
+
+def test_dense_fleet_matches_golden(golden):
+    assert_golden(golden, DENSE_CASE, fleet_fingerprint(run_fleet(DENSE_FLEET)))
+
+
+def test_n1_fleet_bit_identical_to_session(golden):
+    config = session_configs("static-urban-air")[0]
     single = session_fingerprint(run_session(config))
     fleet = run_fleet(FleetConfig(base=config, num_sessions=1))
     assert session_fingerprint(fleet.sessions[0]) == single
+    assert_golden(golden, session_case("static-urban-air", config.seed), single)
 
 
-def test_traced_session_bit_identical_to_untraced():
-    config = PINNED["gcc-urban-air"].with_overrides(
-        seed=5, duration=SESSION_DURATION
-    )
+def test_traced_session_bit_identical_to_untraced(golden):
+    config = session_configs("gcc-urban-air")[0]
     untraced = session_fingerprint(run_session(config))
     traced = session_fingerprint(run_session(config, recorder=Recorder()))
     assert traced == untraced
-
-
-def _fleet_config(name: str) -> FleetConfig:
-    spec = dict(FLEET_PINNED[name])
-    spec["base"] = spec["base"].with_overrides(
-        seed=3, duration=SESSION_DURATION
-    )
-    return FleetConfig(**spec)
+    assert_golden(golden, session_case("gcc-urban-air", config.seed), traced)
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_PINNED))
-def test_metrics_fleet_bit_identical_to_off(name):
+def test_metrics_fleet_bit_identical_to_off(name, golden):
     """obs="metrics" must not perturb a single packet or draw."""
-    config = _fleet_config(name)
-    dark = run_fleet(config)
-    metered = run_fleet(config, obs="metrics")
-    assert [session_fingerprint(s) for s in metered.sessions] == [
-        session_fingerprint(s) for s in dark.sessions
-    ]
-    assert metered.occupancy == dark.occupancy
-    assert metered.congestion_time == dark.congestion_time
+    dark = run_fleet(fleet_config(name))
+    metered = run_fleet(fleet_config(name), obs="metrics")
+    assert fleet_fingerprint(metered) == fleet_fingerprint(dark)
+    assert_golden(golden, fleet_case(name), fleet_fingerprint(metered))
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_PINNED))
-def test_metrics_plane_bit_identical_across_arms(name):
-    """The vectorized plane must reproduce the scalar replay exactly.
+def test_metrics_plane_bit_identical_across_arms(name, golden):
+    """The plane snapshot matches the one both engine arms produced.
 
-    Snapshots are exact-equality dicts of float sums/mins/maxs, so any
-    reordering of the per-tick ingest arithmetic shows up here.
+    Snapshots are exact-equality records of float sums/mins/maxs, so
+    any reordering of the per-tick ingest shows up here. The golden
+    digest was recorded when the live plane and the scalar arm's
+    sample replay still both existed and agreed.
     """
-    config = _fleet_config(name)
-    fast = run_fleet(config, obs="metrics", fast=True)
-    scalar = run_fleet(config, obs="metrics", fast=False)
-    fast_plane = [
-        r for r in fast.extra["metrics"]
-        if r["name"].startswith("fleet/")
-    ]
-    scalar_plane = [
-        r for r in scalar.extra["metrics"]
-        if r["name"].startswith("fleet/")
-    ]
-    assert fast_plane == scalar_plane
-    assert fast_plane  # the plane actually recorded something
+    records = plane_records(run_fleet(fleet_config(name), obs="metrics"))
+    assert records  # the plane actually recorded something
+    assert_golden(golden, plane_case(name), records)
 
 
-def test_sampled_trace_fleet_bit_identical_to_off():
-    """trace_members must not perturb the untraced members' packets."""
-    config = _fleet_config("gcc-urban-air-n4")
-    sampled = FleetConfig(
-        **{
-            **FLEET_PINNED["gcc-urban-air-n4"],
-            "base": config.base,
-            "trace_members": (1, 3),
-        }
-    )
-    dark = run_fleet(config)
-    traced = run_fleet(sampled)
-    assert [session_fingerprint(s) for s in traced.sessions] == [
-        session_fingerprint(s) for s in dark.sessions
-    ]
+def test_sampled_trace_fleet_bit_identical_to_off(golden):
+    """trace_members must not perturb any member's packets."""
+    dark = run_fleet(fleet_config(TRACED_FLEET))
+    traced = run_fleet(fleet_config(TRACED_FLEET, trace_members=(1, 3)))
+    assert fleet_fingerprint(traced) == fleet_fingerprint(dark)
     assert traced.extra["trace_members"] == [1, 3]
+    assert_golden(golden, fleet_case(TRACED_FLEET), fleet_fingerprint(traced))
 
 
-def test_sampled_member_trace_invariant_across_arms():
-    """A sampled member's full trace must not depend on the arm.
+def test_sampled_member_trace_invariant_across_arms(golden):
+    """A sampled member's full trace does not depend on its tick path.
 
-    The traced member runs the plan-None scalar path in both arms; if
-    the fast arm's ticker changed its draw order the recorded trace
-    (sim-time stamps included) would drift.
+    The golden digest was recorded when sampled members ran per-tick
+    draws outside the fleet plan; they now tick on the plan like every
+    other member, and the trace (sim-time stamps included) and metrics
+    must not move.
     """
-    config = FleetConfig(
-        **{
-            **FLEET_PINNED["gcc-urban-air-n4"],
-            "base": _fleet_config("gcc-urban-air-n4").base,
-            "trace_members": (2,),
-        }
+    result = run_fleet(
+        fleet_config(TRACED_FLEET, trace_members=(TRACED_MEMBER,))
     )
-    fast = run_fleet(config, fast=True)
-    scalar = run_fleet(config, fast=False)
-    assert fast.extra["member_traces"]["2"]["trace"] == (
-        scalar.extra["member_traces"]["2"]["trace"]
-    )
-    assert fast.extra["member_traces"]["2"]["metrics"] == (
-        scalar.extra["member_traces"]["2"]["metrics"]
+    assert_golden(
+        golden, MEMBER_TRACE_CASE, member_trace(result, TRACED_MEMBER)
     )
 
 
@@ -263,8 +406,6 @@ def test_n1_sampled_member_trace_matches_session_trace():
     )
     recorder = Recorder()
     run_session(config, recorder=recorder)
-    from repro.obs import trace_to_dicts
-
     member = [
         r for r in fleet.extra["member_traces"]["0"]["trace"]
         if r["name"] != "fleet.member_sample"
@@ -274,3 +415,55 @@ def test_n1_sampled_member_trace_matches_session_trace():
         if r["name"] != "obs.overhead"
     ]
     assert member == session
+
+
+def accept(reason: str) -> str:
+    """Record this environment's golden block; returns its id."""
+    environment = numerics_environment()
+    if GOLDEN_PATH.exists():
+        data = json.loads(GOLDEN_PATH.read_text())
+    else:
+        data = {
+            "recipe": (
+                "sha256 of repr(fingerprint) per case "
+                "(repro.core.fingerprint.digest); environments are keyed "
+                "by numerics_environment() in tests/test_fingerprints.py"
+            ),
+            "environments": {},
+        }
+    data["environments"][environment] = {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "reason": reason,
+        "cases": {case: digest(fp) for case, fp in golden_fingerprints()},
+    }
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return environment
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        description=(
+            "Rewrite this numerics environment's block of "
+            f"{GOLDEN_PATH.name}. Run the live comparisons first "
+            "(pytest tests/test_fingerprints.py) and only accept digests "
+            "you can explain."
+        )
+    )
+    parser.add_argument(
+        "--accept",
+        metavar="REASON",
+        required=True,
+        help="why the digests changed or the environment is new "
+        "(stored in the block)",
+    )
+    args = parser.parse_args(argv)
+    if not args.accept.strip():
+        parser.error("--accept needs a non-empty reason")
+    environment = accept(args.accept)
+    print(f"recorded numerics environment {environment} in {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

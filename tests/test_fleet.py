@@ -9,7 +9,6 @@ import pytest
 from repro.cellular.cell import (
     CellCapacityConfig,
     CellContention,
-    _member_share,
     allocate_prbs,
     allocate_prbs_array,
     fleet_demand_bps,
@@ -18,9 +17,10 @@ from repro.cellular.cell import (
 )
 from repro.core.config import ScenarioConfig
 from repro.core.fleet import FleetConfig, FleetResult, _ring_offset, run_fleet
-from repro.core.session import run_session
+from repro.core.session import build_session, run_session
 from repro.experiments import ExperimentSettings
 from repro.experiments.fleet import fleet_unit, run_fleet_density
+from repro.net.simulator import EventLoop
 from repro.obs import Recorder
 from repro.obs.attribute import CELL_CONGESTION, causes_from_trace
 from repro.runner import WORK_FLEET, execute_unit
@@ -94,21 +94,6 @@ class TestAllocatePrbs:
             array = allocate_prbs_array(requests, budget)
             scalar = allocate_prbs(requests.tolist(), budget)
             assert array.tolist() == scalar
-
-    def test_member_share_matches_full_allocation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            n = int(rng.integers(2, 40))
-            budget = int(rng.integers(1, 150))
-            requests = rng.integers(0, 6, size=n).astype(np.int64)
-            total = int(requests.sum())
-            if total == 0:
-                assert _member_share(requests, 0, budget, total) == 0.0
-                continue
-            full = allocate_prbs(requests.tolist(), budget)
-            for index in range(n):
-                share = _member_share(requests, index, budget, total)
-                assert share == full[index] / budget
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +348,16 @@ class TestRunFleet:
             )
         )
         assert fleet.max_sessions_per_cell <= 2
+
+    def test_contended_session_without_fleet_plan_refuses_to_start(self):
+        # Only a planned fleet member ranks cells under the scheduler's
+        # offsets and admission blocks; an unplanned contended channel
+        # must fail loudly rather than silently ignore them.
+        handles = build_session(
+            EventLoop(), BASE, contention=CellContention(64), ue_id=0
+        )
+        with pytest.raises(RuntimeError, match="install_fleet_plans"):
+            handles.start()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
