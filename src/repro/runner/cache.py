@@ -8,7 +8,17 @@ version and naturally invalidates every older entry.
 
 Payloads are pickles under ``.repro-cache/<k[:2]>/<k>.pkl``; writes go
 through a temp file + ``os.replace`` so a crashed run never leaves a
-truncated entry behind, and unreadable entries degrade to misses.
+truncated entry behind. A :class:`~repro.core.session.SessionResult`
+(alone or inside a :class:`~repro.core.fleet.FleetResult`) pickles
+column-wise: each field of its per-packet, playback, handover,
+capacity, RSSI and CC logs is one typed buffer, rebuilt into records
+on load, instead of one pickled object per record. The cache adds no
+format of its own; the encoding lives at the ``SessionResult``
+boundary, so the worker pool's result hand-back uses it too.
+
+An entry that fails to load — truncated, corrupt, or written for
+record classes whose fields have since changed — is evicted with a
+``RuntimeWarning`` naming it and the error, and reads as a miss.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import json
 import os
 import pickle
 import tempfile
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -57,14 +68,20 @@ class ResultCache:
     def get(self, unit: WorkUnit) -> Any:
         """Cached result for ``unit``, or :data:`MISS`."""
         path = self._path(self.key(unit))
-        if not path.exists():
-            return MISS
         try:
             with path.open("rb") as handle:
                 return pickle.load(handle)
-        except Exception:
-            # Truncated/corrupt entry (e.g. interrupted write on an
-            # old Python): drop it and treat as a miss.
+        except FileNotFoundError:
+            return MISS
+        except Exception as exc:
+            # Truncated/corrupt entry, or one whose record fields no
+            # longer match the code: drop it, say so, re-execute.
+            warnings.warn(
+                f"result cache: evicting unreadable entry {path} "
+                f"({type(exc).__name__}: {exc})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             try:
                 path.unlink()
             except OSError:

@@ -9,10 +9,14 @@ list is order-independent and identical to the serial path.
 Execution strategy per unit:
 
 1. consult the :class:`ResultCache` (if enabled) — hits cost one
-   pickle load and never touch the pool;
+   file read and never touch the pool; a
+   :class:`~repro.core.session.SessionResult` unpickles its record
+   logs from one typed buffer per record field, not one object per
+   record;
 2. misses fan out over a ``multiprocessing`` pool of ``workers``
    processes (``workers=1`` executes in-process, preserving the
-   classic serial path with zero pickling overhead);
+   classic serial path with zero pickling overhead); results come
+   back pickled in that same column form;
 3. fresh results are written back to the cache and reported to the
    optional progress callback together with their telemetry record.
 """

@@ -309,6 +309,28 @@ def test_session_batch_bit_identical(name, golden):
         assert_golden(golden, session_case(name, config.seed), fingerprint)
 
 
+@pytest.mark.xfail(
+    np.lib.NumpyVersion(np.__version__) >= "2.0.0",
+    reason=(
+        "BatchedNormal/BatchedUniform serve a SweepDrawPlan preload via "
+        "list(preload) as numpy.float64 scalars but refills as Python "
+        "floats; the scalars reach every batched session's logs, so with "
+        "numpy >= 2 their repr, and the digest, differ from the scalar "
+        "run's although every value is equal. preload.tolist() fixes it "
+        "but moves the sweep-* digests in benchmarks/perf/expected.json, "
+        "so it waits for a benchmark change that re-accepts them."
+    ),
+    strict=True,
+)
+def test_batched_session_digest_equals_scalar():
+    configs = session_configs("gcc-rural-ground")
+    scalar = [digest(session_fingerprint(run_session(c))) for c in configs]
+    units = [make_unit(WORK_SESSION, c) for c in configs]
+    plans, _ = plan_batches(list(enumerate(units)))
+    batched = [digest(session_fingerprint(r)) for r in execute_batch(plans[0])]
+    assert batched == scalar
+
+
 @pytest.mark.parametrize("name", sorted(FLEET_PINNED))
 def test_fleet_fast_bit_identical_to_scalar(name, golden):
     """The fleet engine reproduces the scalar reference it replaced.

@@ -106,7 +106,8 @@ class TestCacheKeys:
         cache.put(unit, "ok")
         path = cache._path(cache.key(unit))
         path.write_bytes(b"not a pickle")
-        assert cache.get(unit) is MISS
+        with pytest.warns(RuntimeWarning, match=f"{path.name}.*UnpicklingError"):
+            assert cache.get(unit) is MISS
         assert not path.exists()
 
     def test_clear_and_stats(self, tmp_path):
@@ -481,3 +482,90 @@ class TestCampaignStatusFile:
         assert status["cells"]  # harvested from the fleet result
         for entry in status["cells"].values():
             assert entry["peak"] >= entry["last"] >= 0
+
+
+# ----------------------------------------------------------------------
+# SessionResult's column-wise pickle form across the cache and the pool
+# ----------------------------------------------------------------------
+import copyreg  # noqa: E402
+import io  # noqa: E402
+import pickle  # noqa: E402
+
+from repro.core.fingerprint import digest, session_fingerprint  # noqa: E402
+from repro.core.session import SessionResult, run_session  # noqa: E402
+
+CODEC_CONFIG = ScenarioConfig(cc="gcc", environment="urban", duration=8.0, seed=2)
+
+
+def _pickle_with(reducer, obj) -> bytes:
+    """Pickle ``obj`` with ``reducer`` overriding SessionResult's form."""
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is SessionResult:
+                return reducer(value)
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
+
+
+def _object_form(result):
+    """The per-object form caches held before the column encoding."""
+    return copyreg.__newobj__, (type(result),), vars(result)
+
+
+def _permuted_packet_fields(result):
+    """Column form whose packet-log field names are out of date."""
+    rebuild, (cls, names, values, logs) = result.__reduce__()
+    log_cls, log_names, columns = logs["packet_log"]
+    logs = {**logs, "packet_log": (log_cls, log_names[::-1], columns[::-1])}
+    return rebuild, (cls, names, values, logs)
+
+
+class TestCachedSessionEncoding:
+    @pytest.fixture(scope="class")
+    def session(self):
+        return run_session(CODEC_CONFIG)
+
+    def test_object_form_entries_still_load(self, tmp_path, session):
+        cache = ResultCache(tmp_path)
+        unit = make_unit(WORK_SESSION, CODEC_CONFIG)
+        path = cache._path(cache.key(unit))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(_pickle_with(_object_form, session))
+        loaded = cache.get(unit)
+        assert repr(loaded) == repr(session)
+        assert digest(session_fingerprint(loaded)) == digest(
+            session_fingerprint(session)
+        )
+
+    def test_stale_field_names_evict_with_a_warning(self, tmp_path, session):
+        cache = ResultCache(tmp_path)
+        unit = make_unit(WORK_SESSION, CODEC_CONFIG)
+        path = cache._path(cache.key(unit))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(_pickle_with(_permuted_packet_fields, session))
+        with pytest.warns(RuntimeWarning, match=f"{path.name}.*ValueError.*stale"):
+            assert cache.get(unit) is MISS
+        assert not path.exists()
+
+    def test_pool_handback_matches_in_process_batch(self):
+        configs = [
+            CODEC_CONFIG.with_overrides(cc="scream", duration=5.0, seed=seed)
+            for seed in (1, 2, 3, 4)
+        ]
+        units = [make_unit(WORK_SESSION, config) for config in configs]
+        serial = CampaignRunner(1, batch=True).run(units)
+        with CampaignRunner(2, batch=True) as pooled:
+            parallel = pooled.run(units)
+        # Two 2-seed batches ran in pool workers and came back pickled.
+        assert all(
+            r.worker.startswith("worker-") and r.worker.endswith("/batch2")
+            for r in pooled.telemetry.runs
+        )
+        assert [digest(session_fingerprint(r)) for r in parallel] == [
+            digest(session_fingerprint(r)) for r in serial
+        ]
+        assert [repr(r) for r in parallel] == [repr(r) for r in serial]

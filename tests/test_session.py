@@ -200,3 +200,207 @@ class TestBufferWiring:
         )
         run_session(config)
         assert captured == [4_000_000, 1_000_000]
+
+
+# ----------------------------------------------------------------------
+# column-wise pickle form of SessionResult
+# ----------------------------------------------------------------------
+import pickle  # noqa: E402
+import struct  # noqa: E402
+from dataclasses import fields  # noqa: E402
+
+from repro.cc.base import CcLogEntry  # noqa: E402
+from repro.cellular.channel import RssiReport  # noqa: E402
+from repro.core.fingerprint import (  # noqa: E402
+    digest,
+    fleet_fingerprint,
+    session_fingerprint,
+)
+from repro.core.fleet import FleetConfig, run_fleet  # noqa: E402
+from repro.core.receiver import PacketLogEntry  # noqa: E402
+from repro.core.sender import SenderStats  # noqa: E402
+from repro.core.session import SessionResult  # noqa: E402
+from repro.runner import WORK_SESSION, execute_batch, plan_batches  # noqa: E402
+from repro.runner.work import make_unit  # noqa: E402
+from repro.video.player import PlaybackRecord  # noqa: E402
+
+RECORD_LOGS = (
+    "packet_log",
+    "playback",
+    "handovers",
+    "capacity_samples",
+    "rssi_log",
+    "cc_log",
+)
+#: The worker pool's hand-back protocol and the result cache's.
+PROTOCOLS = sorted({pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL})
+#: A quiet NaN with a non-zero payload: its bits must survive too.
+NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+
+
+def _exact(value):
+    """A value's type plus, for floats, its bit pattern."""
+    if isinstance(value, float):  # numpy.float64 included
+        return type(value), struct.pack("<d", value)
+    return type(value), value
+
+
+def _records_exactly(result) -> dict:
+    return {
+        name: [
+            (type(record),)
+            + tuple(_exact(getattr(record, f.name)) for f in fields(record))
+            for record in getattr(result, name)
+        ]
+        for name in RECORD_LOGS
+    }
+
+
+def _encoded_logs(result) -> dict:
+    """The logs ``SessionResult.__reduce__`` encodes column-wise."""
+    _, (_, _, _, logs) = result.__reduce__()
+    return logs
+
+
+def _column_kinds(encoded_log) -> dict:
+    """Field -> buffer type of each column, ``list`` for a fallback."""
+    _, names, columns = encoded_log
+    return {
+        name: column[0] if type(column) is tuple else list
+        for name, column in zip(names, columns)
+    }
+
+
+def assert_exact_roundtrip(result, protocol: int):
+    back = pickle.loads(pickle.dumps(result, protocol=protocol))
+    assert type(back) is SessionResult
+    assert repr(back) == repr(result)
+    assert digest(session_fingerprint(back)) == digest(session_fingerprint(result))
+    assert _records_exactly(back) == _records_exactly(result)
+
+
+class TestSessionResultPickle:
+    @pytest.fixture(scope="class")
+    def scalar_session(self):
+        return run_session(
+            ScenarioConfig(cc="gcc", environment="urban", duration=10.0, seed=1)
+        )
+
+    @pytest.fixture(scope="class")
+    def batched_sessions(self):
+        units = [
+            make_unit(
+                WORK_SESSION,
+                ScenarioConfig(cc="scream", environment="rural", duration=6.0, seed=seed),
+            )
+            for seed in (1, 2)
+        ]
+        plans, leftovers = plan_batches(list(enumerate(units)))
+        assert leftovers == [] and len(plans) == 1
+        return execute_batch(plans[0])
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_scalar_session_roundtrips_exactly(self, scalar_session, protocol):
+        assert type(scalar_session.packet_log[0].sent_at) is float
+        assert_exact_roundtrip(scalar_session, protocol)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_batched_sessions_roundtrip_exactly(self, batched_sessions, protocol):
+        # Batched sweeps serve preloaded numpy.float64 draws, which reach
+        # the logs' event times (see test_fingerprints'
+        # test_batched_session_digest_equals_scalar); the codec must keep them.
+        for result in batched_sessions:
+            assert type(result.packet_log[0].sent_at) is np.float64
+            assert_exact_roundtrip(result, protocol)
+
+    def test_record_fields_pickle_as_typed_buffers(self, scalar_session):
+        encoded = _encoded_logs(scalar_session)
+        assert _column_kinds(encoded["packet_log"]) == {
+            "sequence": int,
+            "sent_at": float,
+            "received_at": float,
+            "size_bytes": int,
+            "frame_id": int,
+        }
+        assert _column_kinds(encoded["playback"])["complete"] is bool
+        assert _column_kinds(encoded["capacity_samples"])["in_handover"] is bool
+        # cc_log extras are dicts: that column stays a list.
+        assert _column_kinds(encoded["cc_log"])["extra"] is list
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return run_fleet(
+            FleetConfig(
+                base=ScenarioConfig(cc="static", duration=5.0, seed=3),
+                num_sessions=2,
+            )
+        )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_fleet_roundtrips_exactly(self, fleet, protocol):
+        back = pickle.loads(pickle.dumps(fleet, protocol=protocol))
+        assert digest(fleet_fingerprint(back)) == digest(fleet_fingerprint(fleet))
+        for session, copy in zip(fleet.sessions, back.sessions):
+            assert _records_exactly(copy) == _records_exactly(session)
+
+    def test_columns_that_do_not_qualify_stay_lists(self):
+        result = SessionResult(
+            config=ScenarioConfig(),
+            duration=1.0,
+            packet_log=[
+                PacketLogEntry(2**63, 0.0, np.float64(-0.0), 1200, True),
+                PacketLogEntry(-(2**70), -0.0, np.float64(NAN_WITH_PAYLOAD), 1200, 7),
+            ],
+            playback=[
+                PlaybackRecord(1, 0.5, np.float64(0.25), NAN_WITH_PAYLOAD, True),
+                PlaybackRecord(2, 0.75, 0.5, -0.0, False),
+            ],
+            handovers=[],
+            capacity_samples=[],
+            rssi_log=[RssiReport(1.0, -80.5, 3), RssiReport(2.0, -81.0, 4)],
+            sender_stats=SenderStats(),
+            cc_log=[
+                CcLogEntry(0.1, np.float64(1e6), {"rate": 1.0}),
+                CcLogEntry(0.2, 2e6, {}),
+            ],
+        )
+        encoded = _encoded_logs(result)
+        assert _column_kinds(encoded["packet_log"]) == {
+            "sequence": list,  # ints beyond int64
+            "sent_at": float,  # -0.0 kept
+            "received_at": np.float64,  # NaN payload kept
+            "size_bytes": int,
+            "frame_id": list,  # bool mixed with int
+        }
+        assert _column_kinds(encoded["playback"]) == {
+            "frame_id": int,
+            "play_time": float,
+            "encode_time": list,  # numpy.float64 mixed with float
+            "ssim": float,
+            "complete": bool,
+        }
+        assert _column_kinds(encoded["cc_log"]) == {
+            "time": float,
+            "target_bitrate": list,
+            "extra": list,
+        }
+        assert "handovers" not in encoded and "capacity_samples" not in encoded
+        for protocol in PROTOCOLS:
+            assert_exact_roundtrip(result, protocol)
+
+    def test_logs_that_do_not_qualify_pickle_as_they_are(self):
+        result = SessionResult(
+            config=ScenarioConfig(),
+            duration=1.0,
+            packet_log=[],
+            playback=[],
+            handovers=[],
+            capacity_samples=[],
+            rssi_log=(RssiReport(1.0, -80.5, 3),),
+            sender_stats=SenderStats(),
+            cc_log=[(0.1, 1e6), CcLogEntry(0.2, 2e6, {})],
+        )
+        assert _encoded_logs(result) == {}
+        back = pickle.loads(pickle.dumps(result))
+        assert back == result and repr(back) == repr(result)
+        assert type(back.rssi_log) is tuple
