@@ -16,7 +16,7 @@ from repro.cc.base import CongestionController, FeedbackKind
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop, PeriodicTimer
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, ObsLevel
 from repro.obs.detect import EwmaZScore, WindowedStats
 from repro.util.units import to_ms
 from repro.rtp.ccfb import CcfbRecorder
@@ -70,11 +70,15 @@ class VideoReceiver:
         self.player = Player(loop, fps=fps, obs=obs)
         #: Per-second delivery bins (bytes/packets -> goodput) and a
         #: streaming OWD-inflation detector (bufferbloat evidence for
-        #: the attribution engine).
+        #: the attribution engine). The bins only emit trace events,
+        #: so they are fed only when the recorder keeps a trace; the
+        #: detector's episode counter is a metric, so it runs at both
+        #: tiers.
         self._window = WindowedStats(
             obs, "receiver.window",
             sums=("bytes", "packets"), maxes=("owd_max_ms",),
         )
+        self._windowed = obs.level is ObsLevel.TRACE
         self._owd_anomaly = EwmaZScore(
             obs, "receiver.owd_anomaly", min_delta=50.0,
         )
@@ -83,6 +87,11 @@ class VideoReceiver:
         #: 50 ms stride loses no detection power while cutting the
         #: per-packet traced cost to one float compare.
         self._owd_sample_at = 0.0
+        #: Per-packet instruments, resolved once so a delivered packet
+        #: pays no registry lookup (no-op handles when obs is off).
+        self._m_packets = obs.counter("receiver/packets")
+        self._m_bytes = obs.counter("receiver/bytes")
+        self._m_owd_ms = obs.histogram("receiver/owd_ms")
         self.assembler = FrameAssembler()
         self.jitter_buffer = JitterBuffer(
             loop,
@@ -176,14 +185,19 @@ class VideoReceiver:
         if self._ccfb is not None:
             self._ccfb.on_packet(packet.sequence, now)
         if self.obs.enabled:
+            self.obs.begin_block()
             owd_ms = to_ms(now - datagram.sent_at)
-            self.obs.count("receiver/packets")
-            self.obs.count("receiver/bytes", packet.wire_size)
-            self.obs.observe("receiver/owd_ms", owd_ms)
-            self._window.add(now, (float(packet.wire_size), 1.0), (owd_ms,))
+            self._m_packets.inc()
+            self._m_bytes.inc(packet.wire_size)
+            self._m_owd_ms.observe(owd_ms)
+            if self._windowed:
+                self._window.add(
+                    now, (float(packet.wire_size), 1.0), (owd_ms,)
+                )
             if now >= self._owd_sample_at:
                 self._owd_anomaly.update(now, owd_ms)
                 self._owd_sample_at = now + OWD_SAMPLE_INTERVAL
+            self.obs.end_block()
         self.jitter_buffer.push(packet, now)
 
     def _on_packet_released(self, packet: RtpPacket, when: float) -> None:

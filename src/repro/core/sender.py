@@ -92,6 +92,11 @@ class VideoSender:
         self._queue_anomaly = EwmaZScore(
             obs, "sender.queue_anomaly", min_delta=50.0,
         )
+        #: Per-packet instruments, resolved once so a sent packet pays
+        #: no registry lookup (no-op handles when obs is off).
+        self._m_packets_sent = obs.counter("sender/packets_sent")
+        self._m_bytes_sent = obs.counter("sender/bytes_sent")
+        self._m_queue_delay_ms = obs.histogram("sender/queue_delay_ms")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -265,9 +270,11 @@ class VideoSender:
         self.stats.packets_sent += 1
         self.stats.bytes_sent += packet.wire_size
         if self.obs.enabled:
-            self.obs.count("sender/packets_sent")
-            self.obs.count("sender/bytes_sent", packet.wire_size)
-            self.obs.observe("sender/queue_delay_ms", to_ms(self.queue_delay))
+            self.obs.begin_block()
+            self._m_packets_sent.inc()
+            self._m_bytes_sent.inc(packet.wire_size)
+            self._m_queue_delay_ms.observe(to_ms(self.queue_delay))
+            self.obs.end_block()
         self.controller.on_packet_sent(
             SentPacket(
                 sequence=packet.sequence,

@@ -113,6 +113,8 @@ class JitterBuffer:
         self._waiting: deque[tuple[RtpPacket, float]] = deque()
         self._head_handle: EventHandle | None = None
         self.gap_events = 0
+        #: Per-packet instrument, resolved once (no-op when obs is off).
+        self._m_released = obs.counter("jitter/released")
 
     @property
     def released_packets(self) -> int:
@@ -224,7 +226,9 @@ class JitterBuffer:
             return
         self._released += 1
         if self.obs.enabled:
-            self.obs.count("jitter/released")
+            self.obs.begin_block()
+            self._m_released.inc()
+            self.obs.end_block()
         self._release(packet, when)
 
     def flush(self) -> None:

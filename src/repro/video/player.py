@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.net.simulator import EventLoop
-from repro.obs import NULL_RECORDER, NullRecorder
+from repro.obs import NULL_RECORDER, NullRecorder, ObsLevel
 from repro.obs.detect import WindowedStats
 from repro.util.units import to_ms
 from repro.video.frames import DecodedFrame
@@ -104,11 +104,14 @@ class Player:
         self.obs = obs
         #: Per-second playback QoE bins (frames played, worst playback
         #: latency, worst inter-frame gap) — the signal substrate the
-        #: SLO detector in :mod:`repro.obs.detect` evaluates.
+        #: SLO detector in :mod:`repro.obs.detect` evaluates. The bins
+        #: only emit trace events, so only a trace-tier recorder feeds
+        #: them.
         self._window = WindowedStats(
             obs, "player.window",
             sums=("frames",), maxes=("latency_ms", "gap_ms"),
         )
+        self._windowed = obs.level is ObsLevel.TRACE
         self._last_play_time: float | None = None
 
     @property
@@ -158,7 +161,7 @@ class Player:
             complete=frame.complete,
         )
         self.records.append(record)
-        if self.obs.enabled:
+        if self._windowed:
             gap_ms = (
                 to_ms(now - self._last_play_time)
                 if self._last_play_time is not None

@@ -20,12 +20,15 @@ Golden cases:
 * every pinned fleet (member fingerprints plus occupancy, peak and
   congestion time), and its metrics-tier ``fleet/*`` plane records;
 * the full trace and metrics of a trace-sampled fleet member;
-* the dense N=64 fleet.
+* the dense N=64 fleet;
+* the ``obs="metrics"`` snapshot records of every pinned config's
+  seed-1 session, which pin the per-packet instruments' values.
 
 Live comparisons between two production paths run beside the golden
 checks: batched vs per-seed probes and sessions, an N=1 fleet vs the
-plain session, traced vs untraced, ``obs="metrics"`` vs dark fleets
-and trace-sampled vs dark fleets.
+plain session, traced vs untraced, a metrics-tier session snapshot vs
+the trace-tier registry of the same run, ``obs="metrics"`` vs dark
+fleets and trace-sampled vs dark fleets.
 
 Why per environment: numpy picks SIMD kernels for ``np.power`` and
 friends from the CPU at import time, and its AVX-512 kernels round
@@ -190,6 +193,10 @@ def session_case(name: str, seed: int) -> str:
     return f"session/{name}/seed={seed}"
 
 
+def session_metrics_case(name: str, seed: int) -> str:
+    return f"session-metrics/{name}/seed={seed}"
+
+
 def fleet_case(name: str) -> str:
     return f"fleet/{name}"
 
@@ -247,6 +254,11 @@ def golden_fingerprints():
                 session_case(name, config.seed),
                 session_fingerprint(run_session(config)),
             )
+        config = session_configs(name)[0]
+        yield (
+            session_metrics_case(name, config.seed),
+            run_session(config, obs="metrics").extra["metrics"],
+        )
     for name in sorted(FLEET_PINNED):
         yield fleet_case(name), fleet_fingerprint(run_fleet(fleet_config(name)))
         metered = run_fleet(fleet_config(name), obs="metrics")
@@ -363,6 +375,21 @@ def test_traced_session_bit_identical_to_untraced(golden):
     traced = session_fingerprint(run_session(config, recorder=Recorder()))
     assert traced == untraced
     assert_golden(golden, session_case("gcc-urban-air", config.seed), traced)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_session_metrics_snapshot_matches_golden(name, golden):
+    """A metrics-tier session snapshot is pinned, record for record.
+
+    It must also equal the registry snapshot of the same run at the
+    trace tier: the two tiers differ only in the trace they keep.
+    """
+    config = session_configs(name)[0]
+    metered = run_session(config, obs="metrics").extra["metrics"]
+    traced = run_session(config, obs="trace").extra["metrics"]
+    assert metered
+    assert metered == traced
+    assert_golden(golden, session_metrics_case(name, config.seed), metered)
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_PINNED))

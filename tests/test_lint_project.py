@@ -354,6 +354,19 @@ def schema_module(trace: list[str], metric: list[str] | None = None) -> str:
     )
 
 
+BOUND_EMITTER = (
+    "class Sender:\n"
+    "    def __init__(self, obs):\n"
+    "        self.obs = obs\n"
+    "        self._m_sent = obs.counter(\"x/sent\")\n"
+    "        self._m_owd = obs.histogram(\"y/owd_ms\")\n"
+    "    def run(self):\n"
+    "        if self.obs.enabled:\n"
+    "            self._m_sent.inc()\n"
+    "            self._m_owd.observe(1.0)\n"
+)
+
+
 class TestTraceSchema:
     def test_registered_emit_and_matching_consumer_silent(self):
         sources = {
@@ -400,6 +413,46 @@ class TestTraceSchema:
             ),
         }
         assert cross_ids(sources) == []
+
+    def test_bound_instrument_accessors_count_as_metric_emits(self):
+        sources = {
+            "src/repro/fake_bound.py": BOUND_EMITTER,
+            "src/repro/obs/schema.py": schema_module([], ["x/sent", "y/owd_ms"]),
+        }
+        index, _ = build_project(sources)
+        emits = index.files["src/repro/fake_bound.py"]["emits"]
+        assert sorted((e["name"], e["kind"], e["via"]) for e in emits) == [
+            ("x/sent", "metric", "counter"),
+            ("y/owd_ms", "metric", "histogram"),
+        ]
+        # Registered: silent, including the handle updates.
+        assert cross_ids(sources) == []
+
+    def test_unregistered_bound_instrument_fires(self):
+        sources = {
+            "src/repro/fake_bound.py": BOUND_EMITTER,
+            "src/repro/obs/schema.py": schema_module([], ["x/sent"]),
+        }
+        index, _ = build_project(sources)
+        messages = [
+            f.message for f in run_cross_rules(index) if f.rule_id == "RPL008"
+        ]
+        assert len(messages) == 1
+        assert "unregistered metric name 'y/owd_ms'" in messages[0]
+
+    def test_stale_entry_fires_when_last_bound_emitter_is_removed(self):
+        sources = {
+            "src/repro/fake_bound.py": BOUND_EMITTER.replace(
+                "        self._m_owd = obs.histogram(\"y/owd_ms\")\n", ""
+            ).replace("        self._m_owd.observe(1.0)\n", ""),
+            "src/repro/obs/schema.py": schema_module([], ["x/sent", "y/owd_ms"]),
+        }
+        index, _ = build_project(sources)
+        messages = [
+            f.message for f in run_cross_rules(index) if f.rule_id == "RPL008"
+        ]
+        assert len(messages) == 1
+        assert "'y/owd_ms' is no longer emitted" in messages[0]
 
     def test_seeded_typo_in_live_tree_is_caught(self):
         """Acceptance: cell.congestion -> cell.congested trips RPL008."""
@@ -573,6 +626,26 @@ class TestWallTaint:
         ]
         assert len(findings) == 1
         assert findings[0].path == "src/repro/fake_emit.py"
+
+    def test_wall_clock_into_bound_instrument_fires(self):
+        sources = {
+            "src/repro/fake_taint.py": (
+                "import time\n"
+                "\n"
+                "class S:\n"
+                "    def __init__(self, obs):\n"
+                "        self._m_lag = obs.histogram(\"x/lag_ms\")\n"
+                "        self._m_ticks = obs.counter(\"x/ticks\")\n"
+                "    def go(self):\n"
+                "        self._m_ticks.inc()\n"
+                "        self._m_lag.observe(time.perf_counter())\n"
+            ),
+        }
+        index, _ = build_project(sources)
+        findings = [
+            f for f in run_cross_rules(index) if f.rule_id == "RPL010"
+        ]
+        assert [f.line for f in findings] == [9]
 
     def test_wall_taint_survives_arithmetic(self):
         sources = {
@@ -836,6 +909,21 @@ class TestRecorderSchemaWarnings:
             recorder.count("gcc/overuse_events")  # registered metric
         assert len(caught) == 1
         assert "gcc.oversue" in str(caught[0].message)
+
+    def test_bound_instrument_warns_once_at_resolution(self):
+        from repro.obs.recorder import Recorder
+
+        recorder = Recorder(warn_unregistered=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recorder.counter("receiver/packets").inc()  # registered
+            typo = recorder.counter("receiver/packtes")  # warns here
+            typo.inc()
+            typo.inc()
+            recorder.histogram("receiver/packtes")  # repeat: silent
+        assert len(caught) == 1
+        assert "receiver/packtes" in str(caught[0].message)
+        assert caught[0].filename == __file__
 
     def test_default_mode_never_warns(self):
         from repro.obs.recorder import Recorder

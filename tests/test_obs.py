@@ -9,6 +9,7 @@ from repro.core.config import ScenarioConfig
 from repro.core.session import run_session
 from repro.experiments import ExperimentSettings, run_matrix
 from repro.obs import (
+    NULL_INSTRUMENT,
     NULL_RECORDER,
     CampaignStatusWriter,
     Counter,
@@ -23,6 +24,7 @@ from repro.obs import (
     TraceEvent,
     TraceFollower,
     TraceSpan,
+    WindowedStats,
     component_of,
     filter_records,
     format_key,
@@ -285,6 +287,132 @@ class TestMetricsRecorder:
         assert recorder.registry.get("handover/executed").value == 1
         assert recorder.registry.get("gcc/target_bitrate").value == 5e6
         assert recorder.registry.get("receiver/owd_ms").count == 1
+
+
+class TestBoundInstruments:
+    def test_null_accessors_share_one_noop_handle(self):
+        null = NullRecorder()
+        counter = null.counter("sender/packets_sent")
+        histogram = null.histogram("receiver/owd_ms", buckets=(1.0, 2.0))
+        assert counter is NULL_INSTRUMENT and histogram is NULL_INSTRUMENT
+        counter.inc(3)
+        histogram.observe(4.0)
+        null.begin_block()
+        null.end_block()
+        assert null.overhead_s == 0.0
+
+    def test_instrument_registers_on_first_update(self):
+        recorder = MetricsRecorder()
+        sent = recorder.counter("sender/packets_sent")
+        owd = recorder.histogram("receiver/owd_ms", buckets=(10.0, 100.0))
+        # Resolving leaves no zero-count record behind.
+        assert recorder.registry.snapshot() == []
+        sent.inc()
+        sent.inc(2)
+        owd.observe(42.0)
+        assert recorder.registry.get("sender/packets_sent").value == 3
+        histogram = recorder.registry.get("receiver/owd_ms")
+        assert (histogram.buckets, histogram.count) == ((10.0, 100.0), 1)
+
+    def test_updates_match_name_keyed_records(self):
+        bound, keyed = Recorder(), Recorder()
+        owd = bound.histogram("receiver/owd_ms", path="up")
+        size = bound.counter("receiver/bytes", path="up")
+        for value in (0.5, 12.0, 7000.0):
+            owd.observe(value)
+            size.inc(value)
+            keyed.observe("receiver/owd_ms", value, path="up")
+            keyed.count("receiver/bytes", value, path="up")
+        assert bound.registry.snapshot() == keyed.registry.snapshot()
+
+    def test_blocks_charge_overhead_only_when_measured(self):
+        measured = Recorder(measure_overhead=True)
+        measured.begin_block()
+        measured.counter("sender/packets_sent").inc()
+        measured.end_block()
+        assert measured.overhead_s > 0.0
+        unmeasured = Recorder()
+        unmeasured.begin_block()
+        unmeasured.end_block()
+        assert unmeasured.overhead_s == 0.0
+
+
+class TestMetricsTierCost:
+    """Deterministic per-packet cost of a metrics-tier session.
+
+    Calls are counted, not timed: wall-clock ratios of the same code
+    spread too widely on shared hosts to gate a session on. The static
+    urban session sends ~2.6k packets/s, so the per-packet path
+    dominates every count. The per-frame, per-feedback and per-tick
+    sites stay name-keyed by design and add about 100-200 lookups per
+    simulated second whatever the packet rate, so a low-rate flight
+    (rural SCReAM, ~830 packets/s) sits near 0.14 per packet.
+    """
+
+    CONFIG = ScenarioConfig(
+        cc="static", environment="urban", duration=5.0, seed=3
+    )
+    PER_PACKET_NAMES = (
+        "sender/packets_sent", "sender/bytes_sent", "sender/queue_delay_ms",
+        "receiver/packets", "receiver/bytes", "receiver/owd_ms",
+        "jitter/released",
+    )
+
+    @staticmethod
+    def _tally(monkeypatch, owner, attr: str, calls: list) -> None:
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append((attr,) + args[1:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    def _run(self, monkeypatch, obs: str):
+        calls: list[tuple] = []
+        for attr in ("counter", "gauge", "histogram"):
+            self._tally(monkeypatch, MetricsRegistry, attr, calls)
+        self._tally(monkeypatch, WindowedStats, "add", calls)
+        for attr in ("begin_block", "end_block"):
+            self._tally(monkeypatch, Recorder, attr, calls)
+        result = run_session(self.CONFIG, obs=obs)
+        monkeypatch.undo()
+        return result, calls
+
+    def test_registry_lookups_per_packet(self, monkeypatch):
+        result, calls = self._run(monkeypatch, "metrics")
+        lookups = [
+            call for call in calls
+            if call[0] in ("counter", "gauge", "histogram")
+        ]
+        assert result.packets_sent > 10_000
+        assert len(lookups) / result.packets_sent <= 0.1
+        # Each per-packet instrument is looked up once, at its first
+        # update, whatever the packet count.
+        names = [call[1] for call in lookups]
+        for name in self.PER_PACKET_NAMES:
+            assert names.count(name) == 1, name
+
+    def test_every_per_packet_update_is_in_a_timed_block(self, monkeypatch):
+        result, calls = self._run(monkeypatch, "metrics")
+        values = {
+            record["name"]: record.get("value", record.get("count"))
+            for record in result.extra["metrics"]
+        }
+        packets = (
+            values["sender/packets_sent"] + values["receiver/packets"]
+            + values["jitter/released"]
+        )
+        begins = sum(1 for call in calls if call[0] == "begin_block")
+        ends = sum(1 for call in calls if call[0] == "end_block")
+        assert begins == ends == packets
+        assert result.extra["obs_overhead"]["recording_s"] > 0.0
+
+    def test_window_bins_fed_only_at_trace_tier(self, monkeypatch):
+        _, metered = self._run(monkeypatch, "metrics")
+        _, traced = self._run(monkeypatch, "trace")
+        assert sum(1 for call in metered if call[0] == "add") == 0
+        assert sum(1 for call in traced if call[0] == "add") > 0
 
 
 class TestRecorder:
