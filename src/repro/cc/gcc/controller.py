@@ -23,6 +23,9 @@ from repro.cc.gcc.rate_control import AimdRateControl
 from repro.rtp.twcc import TwccFeedback
 from repro.util.units import bytes_to_bits, to_ms
 
+#: Most sent-packet records kept while awaiting feedback.
+HISTORY_LIMIT = 20_000
+
 
 class GccController(CongestionController):
     """Delay- and loss-based GCC controller.
@@ -81,14 +84,18 @@ class GccController(CongestionController):
         return self.pacing_factor * self._target_bitrate
 
     def on_packet_sent(self, packet: SentPacket, now: float) -> None:
-        if packet.transport_seq is None:
+        seq = packet.transport_seq
+        if seq is None:
             raise ValueError("GCC requires transport-wide sequence numbers")
-        self._history[packet.transport_seq] = packet
+        history = self._history
+        # The dict keeps send order. A sequence number reused after
+        # the 16-bit wrap moves to the newest end, so eviction below
+        # drops the oldest sends, not the numerically smallest keys.
+        history.pop(seq, None)
+        history[seq] = packet
         # Bound the history; feedback normally clears entries promptly.
-        if len(self._history) > 20_000:
-            oldest = sorted(self._history)[: len(self._history) - 20_000]
-            for seq in oldest:
-                del self._history[seq]
+        while len(history) > HISTORY_LIMIT:
+            del history[next(iter(history))]
 
     def on_feedback(self, feedback: TwccFeedback, now: float) -> None:
         if not isinstance(feedback, TwccFeedback):

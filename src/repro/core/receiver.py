@@ -46,13 +46,20 @@ class PacketLogEntry:
 
 
 class VideoReceiver:
-    """Receiver pipeline and RTCP feedback generator."""
+    """Receiver pipeline and RTCP feedback generator.
+
+    ``downlink`` is the path feedback and receiver reports travel on.
+    It may be ``None`` at construction and set on :attr:`downlink`
+    before :meth:`start`: :func:`repro.core.session.build_session`
+    builds the receiver first, so the uplink can deliver every media
+    packet straight into :meth:`on_datagram`.
+    """
 
     def __init__(
         self,
         loop: EventLoop,
         controller: CongestionController,
-        downlink: NetworkPath,
+        downlink: NetworkPath | None,
         *,
         ssrc: int = 0x1234,
         fps: float = 30.0,
@@ -118,6 +125,8 @@ class VideoReceiver:
         """Arm the feedback and RFC 3550 report timers."""
         if self._rr_timer is not None:
             raise RuntimeError("receiver already started")
+        if self.downlink is None:
+            raise RuntimeError("receiver has no downlink to send feedback on")
         self._rr_timer = PeriodicTimer(
             self._loop, RECEIVER_REPORT_INTERVAL, self._send_receiver_report
         )
@@ -164,36 +173,33 @@ class VideoReceiver:
     def on_datagram(self, datagram: Datagram) -> None:
         """Entry point wired to the uplink :class:`NetworkPath`."""
         packet = datagram.payload
-        if isinstance(packet, SenderReport):
-            self.accountant.on_sender_report(packet, self._loop.now)
-            return
-        if not isinstance(packet, RtpPacket):
-            raise TypeError(f"unexpected payload {type(packet)!r}")
+        # Media packets are nearly every datagram: an exact type test
+        # lets them skip both isinstance checks.
+        if type(packet) is not RtpPacket:
+            if isinstance(packet, SenderReport):
+                self.accountant.on_sender_report(packet, self._loop.now)
+                return
+            if not isinstance(packet, RtpPacket):
+                raise TypeError(f"unexpected payload {type(packet)!r}")
         now = self._loop.now
-        self.accountant.on_packet(packet.sequence, packet.timestamp, now)
+        sequence = packet.sequence
+        size = packet.wire_size
+        self.accountant.on_packet(sequence, packet.timestamp, now)
         self.packet_log.append(
-            PacketLogEntry(
-                sequence=packet.sequence,
-                sent_at=datagram.sent_at,
-                received_at=now,
-                size_bytes=packet.wire_size,
-                frame_id=packet.frame_id,
-            )
+            PacketLogEntry(sequence, datagram.sent_at, now, size, packet.frame_id)
         )
         if self._twcc is not None and packet.transport_seq is not None:
             self._twcc.on_packet(packet.transport_seq, now)
         if self._ccfb is not None:
-            self._ccfb.on_packet(packet.sequence, now)
+            self._ccfb.on_packet(sequence, now)
         if self.obs.enabled:
             self.obs.begin_block()
             owd_ms = to_ms(now - datagram.sent_at)
             self._m_packets.inc()
-            self._m_bytes.inc(packet.wire_size)
+            self._m_bytes.inc(size)
             self._m_owd_ms.observe(owd_ms)
             if self._windowed:
-                self._window.add(
-                    now, (float(packet.wire_size), 1.0), (owd_ms,)
-                )
+                self._window.add(now, (float(size), 1.0), (owd_ms,))
             if now >= self._owd_sample_at:
                 self._owd_anomaly.update(now, owd_ms)
                 self._owd_sample_at = now + OWD_SAMPLE_INTERVAL

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 
 from repro.cc.base import CongestionController, SentPacket
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
@@ -79,10 +80,10 @@ class VideoSender:
         #: teardown leaves the event loop clean (cf. JitterBuffer).
         self._pending_events: set[EventHandle] = set()
         #: The pacer is strictly sequential (one outstanding
-        #: ``_send_next`` at a time), so its event — by far the
-        #: hottest in the sender — is a single reused handle and a
-        #: bound method instead of a per-event closure in the tracked
-        #: set above.
+        #: ``_send_next`` at a time), so it keeps only the handle of
+        #: its one pending event (a fresh handle per packet, for
+        #: ``stop`` to cancel), armed with a bound method instead of
+        #: a per-event closure in the tracked set above.
         self._pacer_handle: EventHandle | None = None
         #: (time, rtt) samples from RFC 3550 LSR/DLSR round trips —
         #: available for every workload, including static runs.
@@ -244,51 +245,50 @@ class VideoSender:
             return
         self._send_next()
 
-    def _schedule_send(self, delay: float) -> None:
-        self._pacer_busy = True
-        self._pacer_handle = self._loop.call_later(delay, self._send_next)
-
     def _send_next(self) -> None:
+        # Per-packet hot path. The pacer re-arms with
+        # ``call_at(now + delay)``, the sum ``call_later`` would form,
+        # so the event keys are those of a ``call_later`` pacer.
         self._pacer_handle = None
         self._pacer_busy = False
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
-        now = self._loop.now
-        packet, _ = self._queue[0]
-        in_flight = getattr(self.controller, "bytes_in_flight", 0)
-        if not self.controller.can_send(in_flight, packet.wire_size, now):
+        loop = self._loop
+        now = loop.now
+        controller = self.controller
+        packet = queue[0][0]
+        size = packet.wire_size
+        in_flight = getattr(controller, "bytes_in_flight", 0)
+        if not controller.can_send(in_flight, size, now):
             # Window-blocked: poll again shortly (feedback will open it).
-            self._schedule_send(0.002)
+            self._pacer_busy = True
+            self._pacer_handle = loop.call_at(now + 0.002, self._send_next)
             return
-        self._queue.popleft()
-        self._queued_bytes -= packet.wire_size
-        datagram = Datagram(
-            size_bytes=packet.wire_size + IP_UDP_OVERHEAD_BYTES,
-            payload=packet,
-        )
-        self.uplink.send(datagram)
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.wire_size
+        queue.popleft()
+        self._queued_bytes -= size
+        self.uplink.send(Datagram(size + IP_UDP_OVERHEAD_BYTES, packet))
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        # Age of the next queued packet, as ``queue_delay`` reports it.
+        head_delay = now - queue[0][1] if queue else 0.0
         if self.obs.enabled:
             self.obs.begin_block()
             self._m_packets_sent.inc()
-            self._m_bytes_sent.inc(packet.wire_size)
-            self._m_queue_delay_ms.observe(to_ms(self.queue_delay))
+            self._m_bytes_sent.inc(size)
+            self._m_queue_delay_ms.observe(to_ms(head_delay))
             self.obs.end_block()
-        self.controller.on_packet_sent(
-            SentPacket(
-                sequence=packet.sequence,
-                transport_seq=packet.transport_seq,
-                size_bytes=packet.wire_size,
-                send_time=now,
-                frame_id=packet.frame_id,
-            ),
+        controller.on_packet_sent(
+            SentPacket(packet.sequence, packet.transport_seq, size, now,
+                       packet.frame_id),
             now,
         )
-        self._report_queue_state(now)
-        rate = self.controller.pacing_rate(now)
-        if rate == float("inf"):
+        controller.on_queue_state(head_delay, self._queued_bytes, now)
+        rate = controller.pacing_rate(now)
+        if rate == inf:
             delay = 0.0
         else:
-            delay = bytes_to_bits(packet.wire_size) / max(rate, 1e4)
-        self._schedule_send(delay)
+            delay = bytes_to_bits(size) / (1e4 if 1e4 > rate else rate)
+        self._pacer_busy = True
+        self._pacer_handle = loop.call_at(now + delay, self._send_next)

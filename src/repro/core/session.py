@@ -431,8 +431,19 @@ def build_session(
     if config.cc is CcAlgorithm.SCREAM and "ramp_up_speed" in config.extra:
         controller.rate.ramp_up_speed = config.extra["ramp_up_speed"]
 
-    receiver_holder: list[VideoReceiver] = []
-
+    # The receiver is built before its paths, so each path delivers
+    # straight into a bound method (every media packet crosses the
+    # uplink's); the downlink is attached to it once built.
+    receiver = VideoReceiver(
+        loop,
+        controller,
+        None,
+        fps=config.fps,
+        jitter_buffer_latency=config.jitter_buffer_latency,
+        drop_on_latency=config.jitter_buffer_drop_on_latency,
+        scream_ack_window=config.scream_ack_window,
+        obs=obs,
+    )
     if draws is None:
         draws = {}
     jitter_up = draws.get("jitter-up")
@@ -440,7 +451,7 @@ def build_session(
     uplink = NetworkPath(
         loop,
         channel.uplink_rate,
-        lambda datagram: receiver_holder[0].on_datagram(datagram),
+        receiver.on_datagram,
         base_delay=config.base_owd,
         jitter_std=config.owd_jitter_std,
         loss_model=GilbertElliottLoss.from_rate_and_burst(
@@ -458,7 +469,7 @@ def build_session(
     downlink = NetworkPath(
         loop,
         channel.downlink_rate,
-        lambda datagram: receiver_holder[0].on_feedback_delivered(datagram),
+        receiver.on_feedback_delivered,
         base_delay=config.base_owd,
         jitter_std=config.owd_jitter_std,
         loss_model=GilbertElliottLoss.from_rate_and_burst(
@@ -473,6 +484,9 @@ def build_session(
         obs=obs,
         name="downlink",
     )
+    receiver.downlink = downlink
+    # Uplink first: outage recovery restarts the paths in attach
+    # order, and each restart pushes an event.
     channel.attach_path(uplink)
     channel.attach_path(downlink)
 
@@ -486,17 +500,6 @@ def build_session(
         normal=draws.get("encoder"),
     )
     sender = VideoSender(loop, source, encoder, controller, uplink, obs=obs)
-    receiver = VideoReceiver(
-        loop,
-        controller,
-        downlink,
-        fps=config.fps,
-        jitter_buffer_latency=config.jitter_buffer_latency,
-        drop_on_latency=config.jitter_buffer_drop_on_latency,
-        scream_ack_window=config.scream_ack_window,
-        obs=obs,
-    )
-    receiver_holder.append(receiver)
     receiver.on_receiver_report = sender.on_receiver_report
     return SessionHandles(
         config=config,

@@ -131,32 +131,51 @@ class CapacityLink:
     def send(self, datagram: Datagram) -> None:
         """Enqueue ``datagram``, dropping it if the buffer is full."""
         self.stats.enqueued += 1
-        if self._queued_bytes + datagram.size_bytes > self.buffer_bytes:
+        size = datagram.size_bytes
+        if self._queued_bytes + size > self.buffer_bytes:
             self.stats.dropped_overflow += 1
             return
+        if not self._busy and self._up and not self._queue:
+            # Idle link: the datagram would be the queue head at once,
+            # so it starts serializing without the enqueue round trip.
+            self._start(datagram)
+            return
         self._queue.append(datagram)
-        self._queued_bytes += datagram.size_bytes
-        self._maybe_start()
+        self._queued_bytes += size
+        if not self._busy:
+            self._maybe_start()
 
     def _maybe_start(self) -> None:
         if self._busy or not self._up or not self._queue:
             return
         datagram = self._queue.popleft()
         self._queued_bytes -= datagram.size_bytes
-        rate = max(self._rate_fn(self._loop.now), self.min_rate_bps)
-        duration = bytes_to_bits(datagram.size_bytes) / rate
+        self._start(datagram)
+
+    def _start(self, datagram: Datagram) -> None:
+        """Begin serializing ``datagram`` at the current link rate."""
+        loop = self._loop
+        now = loop.now
+        rate = self._rate_fn(now)
+        floor = self.min_rate_bps
+        if floor > rate:
+            rate = floor
         self._busy = True
         self._inflight = datagram
-        self._loop.schedule_later(duration, self._finish)
+        loop.schedule_at(
+            now + bytes_to_bits(datagram.size_bytes) / rate, self._finish
+        )
 
     def _finish(self) -> None:
         datagram = self._inflight
         self._inflight = None
         self._busy = False
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += datagram.size_bytes
+        stats = self.stats
+        stats.delivered += 1
+        stats.bytes_delivered += datagram.size_bytes
         self._deliver(datagram)
-        self._maybe_start()
+        if self._queue:
+            self._maybe_start()
 
 
 class DelayLine:
@@ -209,13 +228,18 @@ class DelayLine:
         if self.jitter_std > 0 and self._jitter is not None:
             # half-normal jitter: the floor is the physical minimum
             delay += abs(self._jitter.normal(0.0, self.jitter_std))
-        arrival = max(self._loop.now + delay, self._last_delivery)
+        loop = self._loop
+        arrival = loop.now + delay
+        last = self._last_delivery
+        if last > arrival:
+            arrival = last
         self._last_delivery = arrival
         self._inflight.append(datagram)
-        self._loop.schedule_at(arrival, self._finish)
+        loop.schedule_at(arrival, self._finish)
 
     def _finish(self) -> None:
         datagram = self._inflight.popleft()
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += datagram.size_bytes
+        stats = self.stats
+        stats.delivered += 1
+        stats.bytes_delivered += datagram.size_bytes
         self._deliver(datagram)

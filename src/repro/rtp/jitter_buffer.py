@@ -32,7 +32,13 @@ import math
 from collections import deque
 from typing import Callable
 
-from repro.rtp.packets import RtpPacket, TS_MOD, VIDEO_CLOCK_RATE, seq_distance
+from repro.rtp.packets import (
+    RtpPacket,
+    SEQ_MOD,
+    TS_MOD,
+    VIDEO_CLOCK_RATE,
+    seq_distance,
+)
 from repro.net.simulator import EventHandle, EventLoop
 from repro.obs import NULL_RECORDER, NullRecorder
 from repro.util.units import to_ms
@@ -139,7 +145,8 @@ class JitterBuffer:
                 media += span
             while media > self._last_media_time + span / 2:
                 media -= span
-        self._last_media_time = max(self._last_media_time or media, media)
+        last = self._last_media_time or media
+        self._last_media_time = media if media > last else last
         return media
 
     def push(self, packet: RtpPacket, arrival: float) -> None:
@@ -155,14 +162,24 @@ class JitterBuffer:
         skew = arrival - media
         if self._offset is None or skew < self._offset:
             self._offset = skew
-        self._note_sequence(packet.sequence, arrival)
-        deadline = (
-            self._offset + media + self.latency + self._current_penalty(arrival)
+        sequence = packet.sequence
+        if sequence == self._expected_seq:
+            # In-order packet: no gap to account.
+            self._expected_seq = (sequence + 1) % SEQ_MOD
+        else:
+            self._note_sequence(sequence, arrival)
+        # An inactive penalty still adds 0.0, as _current_penalty
+        # would return it (a -0.0 offset sum must become 0.0).
+        penalty = (
+            0.0 if self._gap_penalty <= 0.0 else self._current_penalty(arrival)
         )
+        deadline = self._offset + media + self.latency + penalty
         # Releases are strictly in arrival order: a decaying gap
         # penalty must never let a later packet overtake an earlier
         # one (the buffer is a FIFO, like GStreamer's).
-        deadline = max(deadline, self._last_deadline)
+        last = self._last_deadline
+        if last > deadline:
+            deadline = last
         self._last_deadline = deadline
         now = self._loop.now
         if deadline <= now:
@@ -213,7 +230,7 @@ class JitterBuffer:
                     )
                     self.obs.count("jitter/gap_events")
                     self.obs.count("jitter/gap_packets", gap)
-        self._expected_seq = (sequence + 1) % (1 << 16)
+        self._expected_seq = (sequence + 1) % SEQ_MOD
 
     def _current_penalty(self, now: float) -> float:
         if self._gap_penalty <= 0.0:

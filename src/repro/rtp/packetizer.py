@@ -70,20 +70,22 @@ class Packetizer:
         for index in range(num_packets):
             chunk = min(self.mtu_payload, remaining)
             remaining -= chunk
+            transport_seq = None
+            if self.use_transport_seq:
+                transport_seq = self._transport_seq
+                self._transport_seq = (transport_seq + 1) % SEQ_MOD
             packet = RtpPacket(
                 ssrc=self.ssrc,
                 sequence=self._sequence,
                 timestamp=timestamp,
                 payload_size=chunk,
                 marker=index == num_packets - 1,
+                transport_seq=transport_seq,
                 frame_id=frame.frame_id,
                 frame_start=index == 0,
                 encode_time=encode_time,
                 metadata=frame_meta,
             )
-            if self.use_transport_seq:
-                packet.transport_seq = self._transport_seq
-                self._transport_seq = (self._transport_seq + 1) % SEQ_MOD
             self._sequence = (self._sequence + 1) % SEQ_MOD
             packets.append(packet)
         return packets
@@ -154,19 +156,30 @@ class FrameAssembler:
         already finalized (late stragglers) are discarded so a frame
         is never emitted twice.
         """
-        if packet.frame_id <= self._last_finalized:
+        frame_id = packet.frame_id
+        if frame_id <= self._last_finalized:
             self.stray_packets += 1
             return []
-        self._pending.setdefault(packet.frame_id, []).append((packet, arrival))
+        entries = self._pending.get(frame_id)
+        if entries is None:
+            self._pending[frame_id] = [(packet, arrival)]
+        else:
+            entries.append((packet, arrival))
+            if not packet.marker:
+                # After every push no pending frame is older than the
+                # newest minus one. A non-marker fragment of a pending
+                # frame changes neither the pending set nor the newest
+                # frame, so the stale scan below would finalize nothing.
+                return []
         finished: list[AssembledFrame] = []
         if packet.marker:
-            finished.append(self._finalize(packet.frame_id))
+            finished.append(self._finalize(frame_id))
         # Flush stale frames two generations older than the newest one;
         # their remaining fragments can no longer arrive in order.
-        newest = max(self._pending, default=packet.frame_id)
-        for frame_id in sorted(self._pending):
-            if frame_id < newest - 1:
-                finished.append(self._finalize(frame_id))
+        newest = max(self._pending, default=frame_id)
+        for pending_id in sorted(self._pending):
+            if pending_id < newest - 1:
+                finished.append(self._finalize(pending_id))
         return sorted(finished, key=lambda f: f.frame_id)
 
     def _finalize(self, frame_id: int) -> AssembledFrame:

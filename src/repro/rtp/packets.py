@@ -73,6 +73,12 @@ class RtpPacket:
     encode_time:
         Simulated time the carried frame finished encoding (the
         paper's per-frame barcode timestamp).
+    wire_size:
+        Full RTP packet size (header + payload) in bytes, fixed at
+        construction: the media path reads it several times per
+        packet. It stays out of ``repr`` and ``==``, and a packet's
+        header fields are not reassigned after construction (the
+        packetizer passes ``transport_seq`` to the constructor).
     """
 
     ssrc: int
@@ -86,6 +92,7 @@ class RtpPacket:
     frame_start: bool = False
     encode_time: float = 0.0
     metadata: dict = field(default_factory=dict)
+    wire_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.sequence < SEQ_MOD:
@@ -94,19 +101,15 @@ class RtpPacket:
             raise ValueError(f"timestamp out of range: {self.timestamp}")
         if self.payload_size < 0:
             raise ValueError(f"payload_size must be >= 0: {self.payload_size}")
+        size = RTP_HEADER_BYTES + self.payload_size
+        if self.transport_seq is not None:
+            size += TWCC_EXTENSION_BYTES
+        self.wire_size = size
 
     @property
     def header_size(self) -> int:
         """RTP header size including extensions, in bytes."""
-        size = RTP_HEADER_BYTES
-        if self.transport_seq is not None:
-            size += TWCC_EXTENSION_BYTES
-        return size
-
-    @property
-    def wire_size(self) -> int:
-        """Full RTP packet size (header + payload) in bytes."""
-        return self.header_size + self.payload_size
+        return self.wire_size - self.payload_size
 
     def to_bytes(self) -> bytes:
         """Serialize to the RFC 3550 wire format (payload zero-filled)."""

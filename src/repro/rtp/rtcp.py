@@ -220,8 +220,8 @@ class RtcpAccountant:
         elif sequence < self._max_seq and self._max_seq - sequence > 0x8000:
             self._cycles += 1 << 16
             self._max_seq = sequence
-        else:
-            self._max_seq = max(self._max_seq, sequence)
+        elif sequence > self._max_seq:
+            self._max_seq = sequence
         self._received += 1
         transit = arrival - rtp_timestamp / self.clock_rate
         if self._last_transit is not None:

@@ -282,6 +282,32 @@ class TestGccController:
         # 1200 B every 10 ms ~ 0.96 Mbps.
         assert rate == pytest.approx(0.96e6, rel=0.2)
 
+    def test_history_cap_keeps_newest_sends_across_wrap(self):
+        # 70,000 sends with no feedback pass the 16-bit wrap and the
+        # 20,000-record cap: the newest sends carry the numerically
+        # smallest transport sequence numbers, and must stay.
+        controller = GccController()
+        sent = []
+        for i in range(70_000):
+            packet = SentPacket(
+                sequence=i % (1 << 16),
+                transport_seq=i % (1 << 16),
+                size_bytes=1200,
+                send_time=i * 1e-4,
+            )
+            controller.on_packet_sent(packet, packet.send_time)
+            sent.append(packet)
+        last = sent[-10:]
+        feedback = TwccFeedback(
+            base_seq=last[0].transport_seq,
+            reference_time=last[0].send_time + 0.04,
+            feedback_count=0,
+            arrivals=[packet.send_time + 0.04 for packet in last],
+        )
+        controller.on_feedback(feedback, last[-1].send_time + 0.06)
+        assert all(packet.acked for packet in last)
+        assert not any(packet.acked for packet in sent[:-10])
+
     def test_pacing_rate_scales_with_target(self):
         controller = GccController(initial_bitrate=4e6)
         assert controller.pacing_rate(0.0) == pytest.approx(2.5 * 4e6)

@@ -1,0 +1,63 @@
+"""Deterministic per-packet cost of the media path (pacer to player).
+
+A congestion-controlled flight pays mostly per media packet, so the
+number of Python calls a sent packet costs is the session's speed in
+a unit that does not depend on the host. Calls are counted with
+``sys.setprofile`` while one obs-off session runs, and only frames
+whose code lives inside the ``repro`` package count: numpy, the
+standard library and dataclass-generated ``__init__`` methods stay
+out, so the figure does not move between Python versions.
+
+No wall-clock assertion. Each ceiling sits a few calls above what the
+media path makes (about 43, 56 and 68); a path that recomputes
+``wire_size`` on every read and pays ``max`` and helper hops on every
+packet makes about 70, 86 and 100.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+import repro
+from repro.core.config import ScenarioConfig
+from repro.core.session import run_session
+
+_REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def repro_calls_per_packet(config: ScenarioConfig) -> float:
+    """``repro`` function calls made per sent packet by one session."""
+    counts: dict = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            counts[code] = counts.get(code, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run_session(config, obs="off")
+    finally:
+        sys.setprofile(previous)
+    calls = sum(
+        count for code, count in counts.items()
+        if os.path.abspath(code.co_filename).startswith(_REPRO_DIR)
+    )
+    assert result.packets_sent > 0
+    return calls / result.packets_sent
+
+
+@pytest.mark.parametrize(
+    ("cc", "duration", "ceiling"),
+    [("static", 5.0, 48.0), ("gcc", 10.0, 60.0), ("scream", 10.0, 74.0)],
+)
+def test_repro_calls_per_sent_packet(cc, duration, ceiling):
+    config = ScenarioConfig(
+        cc=cc, environment="urban", platform="air", duration=duration, seed=3
+    )
+    assert repro_calls_per_packet(config) <= ceiling
+

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rtp import FrameAssembler, Packetizer, DEFAULT_MTU_PAYLOAD
+from repro.rtp import FrameAssembler, Packetizer, DEFAULT_MTU_PAYLOAD, SEQ_MOD
 from repro.video.frames import EncodedFrame, FrameType
 
 
@@ -167,3 +167,83 @@ class TestFrameAssembler:
         for frame_id, size in enumerate(sizes[:-1]):
             assert received[frame_id].complete
             assert received[frame_id].received_bytes == size
+
+
+class ReferenceAssembler(FrameAssembler):
+    """``FrameAssembler`` whose ``push`` runs the full stale scan on
+    every packet: the form the pending-fragment early return must
+    match exactly."""
+
+    def push(self, packet, arrival):
+        if packet.frame_id <= self._last_finalized:
+            self.stray_packets += 1
+            return []
+        self._pending.setdefault(packet.frame_id, []).append((packet, arrival))
+        finished = []
+        if packet.marker:
+            finished.append(self._finalize(packet.frame_id))
+        newest = max(self._pending, default=packet.frame_id)
+        for frame_id in sorted(self._pending):
+            if frame_id < newest - 1:
+                finished.append(self._finalize(frame_id))
+        return sorted(finished, key=lambda f: f.frame_id)
+
+
+@st.composite
+def received_streams(draw):
+    """A packetized frame sequence as a lossy, reordering path delivers it.
+
+    Sequence numbers start close below the 16-bit wrap. Any fragment
+    may be lost (start and marker fragments included); each survivor
+    is delayed by a few positions (reordering within and across
+    frames) or by many (a late straggler), and some are delivered
+    twice, the copy arriving late.
+    """
+    packetizer = Packetizer(
+        ssrc=1,
+        mtu_payload=100,
+        first_sequence=draw(st.integers(SEQ_MOD - 60, SEQ_MOD - 1)),
+    )
+    sizes = draw(st.lists(st.integers(1, 450), min_size=1, max_size=14))
+    packets = []
+    for frame_id, size in enumerate(sizes):
+        frame = make_frame(frame_id=frame_id, size=size, capture_time=frame_id / 30)
+        packets.extend(packetizer.packetize(frame, frame_id / 30))
+    count = len(packets)
+    lost = draw(st.sets(st.integers(0, count - 1), max_size=count))
+    delay = st.one_of(st.just(0), st.integers(0, 4), st.integers(10, 40))
+    delays = draw(st.lists(delay, min_size=count, max_size=count))
+    copies = draw(
+        st.lists(
+            st.tuples(st.integers(0, count - 1), st.integers(1, 40)), max_size=4
+        )
+    )
+    keyed = [
+        (index + delays[index], index, packet)
+        for index, packet in enumerate(packets)
+        if index not in lost
+    ]
+    keyed += [
+        (index + late, count + n, packets[index])
+        for n, (index, late) in enumerate(copies)
+    ]
+    keyed.sort(key=lambda item: item[:2])
+    return [packet for _, _, packet in keyed]
+
+
+class TestFrameAssemblerMatchesReference:
+    @given(stream=received_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_every_push_matches_the_full_scan(self, stream):
+        assembler = FrameAssembler()
+        reference = ReferenceAssembler()
+        for position, packet in enumerate(stream):
+            arrival = position * 1e-3
+            assert assembler.push(packet, arrival) == reference.push(packet, arrival)
+            assert assembler.stray_packets == reference.stray_packets
+            assert assembler.pending_frames() == reference.pending_frames()
+            # The invariant the early return rests on: no pending frame
+            # is older than the newest pending frame minus one.
+            pending = reference._pending
+            if pending:
+                assert min(pending) >= max(pending) - 1

@@ -1,9 +1,12 @@
 """Tests for RTP packet model and wire serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.rtp import (
+    Packetizer,
     RtpPacket,
     RTP_HEADER_BYTES,
     TWCC_EXTENSION_BYTES,
@@ -12,6 +15,7 @@ from repro.rtp import (
     seq_less_than,
     timestamp_for,
 )
+from repro.video.frames import EncodedFrame, FrameType
 
 
 class TestSequenceMath:
@@ -129,3 +133,60 @@ class TestRtpPacket:
         assert parsed.payload_size == size
         assert parsed.marker == marker
         assert parsed.transport_seq == tseq
+
+
+class TestWireSize:
+    """``wire_size`` is a field fixed at construction, not a property."""
+
+    @given(
+        sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=6),
+        use_transport_seq=st.booleans(),
+        first_sequence=st.integers(0, SEQ_MOD - 1),
+    )
+    def test_packetizer_packets_match_serialized_length(
+        self, sizes, use_transport_seq, first_sequence
+    ):
+        packetizer = Packetizer(
+            ssrc=7,
+            first_sequence=first_sequence,
+            use_transport_seq=use_transport_seq,
+        )
+        for frame_id, size in enumerate(sizes):
+            frame = EncodedFrame(
+                frame_id=frame_id,
+                capture_time=frame_id / 30.0,
+                size_bytes=size,
+                frame_type=FrameType.PREDICTED,
+                target_bitrate=8e6,
+                complexity=1.0,
+            )
+            for packet in packetizer.packetize(frame, frame_id / 30.0):
+                assert (packet.transport_seq is not None) == use_transport_seq
+                assert packet.wire_size == len(packet.to_bytes())
+                assert packet.wire_size == packet.header_size + packet.payload_size
+
+    @given(
+        size=st.integers(0, 1500),
+        tseq=st.one_of(st.none(), st.integers(0, SEQ_MOD - 1)),
+    )
+    def test_from_bytes_keeps_size(self, size, tseq):
+        packet = RtpPacket(
+            ssrc=42, sequence=5, timestamp=90, payload_size=size, transport_seq=tseq
+        )
+        assert RtpPacket.from_bytes(packet.to_bytes()).wire_size == packet.wire_size
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RtpPacket(ssrc=1, sequence=0, timestamp=0, payload_size=10, wire_size=22)
+
+    def test_repr_and_equality_ignore_it(self):
+        field = next(
+            f for f in dataclasses.fields(RtpPacket) if f.name == "wire_size"
+        )
+        assert (field.init, field.repr, field.compare) == (False, False, False)
+        first = RtpPacket(ssrc=1, sequence=3, timestamp=0, payload_size=10)
+        second = RtpPacket(ssrc=1, sequence=3, timestamp=0, payload_size=10)
+        second.wire_size = 0
+        assert first == second
+        assert repr(first) == repr(second)
+        assert "wire_size" not in repr(first)
