@@ -1,13 +1,13 @@
 """Bench: metrics-level fleet observability must stay under 10%.
 
-The whole point of the fast-path observability tier (PR 10) is that
-``run_fleet(obs="metrics")`` keeps the vectorized tick path — the
-:class:`~repro.obs.FleetMetricsPlane` ingests one ``(3, N)`` numpy row
-set per fleet tick instead of per-member recorder calls. This bench
-gates that claim two ways:
+The whole point of the fast-path observability tier is that
+``run_fleet(obs="metrics")`` keeps the vectorized tick path and adds
+no per-member work to it: the :class:`~repro.obs.FleetMetricsPlane`
+folds each member's recorded capacity samples once, after the loop.
+This bench gates that claim two ways:
 
 * the run's own ``obs_overhead`` self-accounting (wall seconds spent
-  inside plane ingestion over total wall) must be <= 10%;
+  inside the plane's fold over total wall) must be <= 10%;
 * the end-to-end wall time of the metered arm, best-of-several, must
   stay within 10% of the dark (``obs`` off) arm.
 
@@ -20,13 +20,13 @@ inflating whichever arm it happened to land on. The shape
 follows ``test_fleet_scale``: load balancing disabled so members pile
 onto the strongest cells (dense occupancy, the regime where per-member
 costs hurt most) and a constant-trickle encoder so the bench measures
-the tick/ingest machinery, not media work.
+the tick and fold machinery, not media work.
 
 Scale: ``REPRO_BENCH_SCALE=quick`` halves the flight for CI smoke.
 The member count stays at 32 even there — a fleet small enough for
-the plane's one-time collect cost (snapshot + registry fold, a few
+the plane's one-time collect cost (sample fold + snapshot, a few
 milliseconds) to dominate the wall clock would measure fixed costs,
-not the per-tick tax the gate is about.
+not the per-member tax the gate is about.
 """
 
 import os

@@ -319,7 +319,7 @@ class FleetTicker:
     """
 
     __slots__ = (
-        "_channels", "_plane", "_loop", "_state", "_contention", "_pending",
+        "_channels", "_loop", "_state", "_contention", "_pending",
         "_anchor", "_rows", "_cols", "hint_k", "hint_topo", "hint_best",
         "hint_margin", "sums_k", "tick_serving", "others_mw",
     )
@@ -328,13 +328,8 @@ class FleetTicker:
         self,
         channels: Sequence[CellularChannel],
         state: FleetTickState,
-        *,
-        plane=None,
     ) -> None:
         self._channels = list(channels)
-        #: Optional :class:`~repro.obs.metrics.FleetMetricsPlane` fed
-        #: once per tick, after every member's ``_tick``.
-        self._plane = plane
         self._loop = channels[0]._loop
         self._state = state
         self._contention = channels[0]._contention
@@ -402,8 +397,6 @@ class FleetTicker:
             self.hint_k = -1
         for ch in channels:
             ch._tick()
-        if self._plane is not None:
-            self._plane.observe_channels(channels)
         self._loop.schedule_at(
             self._anchor + channels[0]._tick_index * MEASUREMENT_PERIOD,
             self._fire,
@@ -413,8 +406,6 @@ class FleetTicker:
 def install_fleet_plans(
     channels: Sequence[CellularChannel],
     duration: float,
-    *,
-    plane=None,
 ) -> FleetTicker:
     """Precompute and install per-member tick plans for a fleet run.
 
@@ -438,9 +429,7 @@ def install_fleet_plans(
     ``duration`` must be the fleet's ``run_until`` horizon: the plans
     cover exactly the anchored ticks that horizon fires
     (:func:`probe_tick_times`), and a channel that ticks past its plan
-    raises rather than falling back. ``plane`` attaches a
-    :class:`~repro.obs.metrics.FleetMetricsPlane` that the ticker
-    feeds once per tick. Returns the ticker.
+    raises rather than falling back. Returns the ticker.
     """
     contention = channels[0]._contention
     for ch in channels:
@@ -452,7 +441,7 @@ def install_fleet_plans(
     state = FleetTickState(
         rsrp_planes, channels[0].engine.config.l3_filter_alpha
     )
-    ticker = FleetTicker(channels, state, plane=plane)
+    ticker = FleetTicker(channels, state)
     for row, (ch, plan) in enumerate(zip(channels, plans)):
         ch.install_plan(plan, state, row, ticker)
         # Outlier draws mix random() and uniform() on one stream; the

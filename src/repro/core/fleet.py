@@ -48,6 +48,7 @@ from repro.net.simulator import EventLoop
 from repro.obs import (
     NULL_RECORDER,
     FleetMetricsPlane,
+    MetricsRegistry,
     NullRecorder,
     ObsLevel,
     Recorder,
@@ -145,10 +146,10 @@ class FleetResult:
 def _declare_fleet_obs_names(obs) -> None:
     """RPL008 declaration twin for names written via the registry.
 
-    ``run_fleet`` emits these gauges at collect time — registry writes
-    on the trace tier, hand-built snapshot records on the plane tiers
-    (there is no live recorder there) — so the static trace-schema
-    scan cannot see them at the real write sites. Never called.
+    ``run_fleet`` writes these gauges straight into the registry it
+    snapshots (there is no live recorder on the plane tier), so the
+    static trace-schema scan cannot see them at the real write sites.
+    Never called.
     """
     obs.gauge("fleet/occupancy", 0.0)
     obs.gauge("fleet/peak_occupancy", 0.0)
@@ -190,20 +191,29 @@ def run_fleet(
 
     * ``off`` — nothing recorded, zero overhead (the default).
     * ``metrics`` — the **fast-path tier**: sessions stay completely
-      uninstrumented (packet logs bit-identical to ``off``) and a
-      :class:`~repro.obs.FleetMetricsPlane` accumulates per-member
-      goodput/PRB-share/SINR histograms and congestion counters from
-      the shared ticker's struct-of-arrays state, one vectorized
-      ingest per tick. The folded registry snapshot lands in
-      ``result.extra["metrics"]`` alongside per-cell occupancy gauges
-      and the ``obs_overhead`` self-accounting.
+      uninstrumented (packet logs bit-identical to ``off``) and,
+      after the loop, a :class:`~repro.obs.FleetMetricsPlane` folds
+      per-member goodput/PRB-share/SINR histograms and congestion
+      counters from each member's recorded capacity samples. Its
+      registry snapshot lands in ``result.extra["metrics"]``
+      alongside per-cell occupancy gauges and the ``obs_overhead``
+      self-accounting.
     * ``trace`` — the legacy full tier: one shared
       :class:`~repro.obs.Recorder` bound to the loop sees every
       session's spans, and the fleet-wide diagnosis lands in
       ``result.extra["diagnosis"]`` exactly like a session's would.
 
     Passing a ``recorder`` explicitly keeps its historical meaning
-    (the instance is shared by every session and wins over ``obs``).
+    (the instance is shared by every session and wins over ``obs``);
+    a :class:`~repro.obs.MetricsRecorder` there also gets the plane
+    folded into its registry. With one shared recorder every member
+    folds its per-packet metrics into the same unlabelled histograms
+    at teardown, so a histogram's float ``total`` adds the values
+    member by member, not in packet-arrival order (its last bits
+    depend on that order; counts, buckets, minima and maxima do not).
+    Whatever the tier, the occupancy gauges join one registry (the
+    shared recorder's, else the plane's, else a fresh one), which is
+    snapshotted once.
     Independently, ``config.trace_members`` samples k members for
     diagnose-quality tracing: each sampled member runs a private
     recorder on the same planned tick as the rest of the fleet, and
@@ -289,13 +299,9 @@ def run_fleet(
         )
 
     channels = [handle.channel for handle in handles]
-    install_fleet_plans(channels, base.duration, plane=plane)
+    install_fleet_plans(channels, base.duration)
     for handle in handles:
         handle.start()
-    if plane is not None:
-        # Tick 0 ran synchronously inside start(); the ticker only
-        # fires from tick 1, so the plane ingests the first tick here.
-        plane.observe_channels(channels)
     loop.run_until(base.duration)
     for handle in handles:
         handle.stop()
@@ -305,37 +311,23 @@ def run_fleet(
     sessions = [handle.collect() for handle in handles]
     extra: dict = {}
     if obs_active:
-        recording_s = plane.overhead_s if plane is not None else 0.0
+        if plane is not None:
+            plane.observe_channels(channels)
         if isinstance(shared, Recorder):
-            recording_s += shared.overhead_s
             registry = shared.registry
             if plane is not None:
                 plane.fold_into(registry)
-            for cell, count in sorted(contention.occupancy().items()):
-                registry.gauge("fleet/occupancy", cell=cell).set(count)
-            for cell, count in sorted(contention.peak_attached.items()):
-                registry.gauge("fleet/peak_occupancy", cell=cell).set(count)
-            metrics_records = registry.snapshot()
+        elif plane is not None:
+            registry = plane.registry
         else:
-            # Fast collect for the plane tiers: the registry here would
-            # hold nothing but the plane fold plus the occupancy gauges,
-            # so build the snapshot records directly (same format, same
-            # sort) and skip the fold + re-snapshot round trip — it is
-            # pure fixed cost on the hot campaign path.
-            metrics_records = plane.snapshot() if plane is not None else []
-            for name, counts in (
-                ("fleet/occupancy", contention.occupancy()),
-                ("fleet/peak_occupancy", dict(contention.peak_attached)),
-            ):
-                for cell, count in sorted(counts.items()):
-                    metrics_records.append({
-                        "kind": "gauge", "name": name,
-                        "labels": {"cell": cell}, "value": float(count),
-                        "max": float(count), "updates": 1,
-                    })
-            metrics_records.sort(
-                key=lambda r: (r["name"], sorted(r["labels"].items()))
-            )
+            registry = MetricsRegistry()
+        for cell, count in sorted(contention.occupancy().items()):
+            registry.gauge("fleet/occupancy", cell=cell).set(count)
+        for cell, count in sorted(contention.peak_attached.items()):
+            registry.gauge("fleet/peak_occupancy", cell=cell).set(count)
+        metrics_records = registry.snapshot()
+        recording_s = plane.overhead_s if plane is not None else 0.0
+        recording_s += shared.overhead_s
         if member_recorders:
             extra["trace_members"] = list(member_recorders)
             extra["member_traces"] = {}

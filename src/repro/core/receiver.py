@@ -11,6 +11,9 @@ active congestion controller needs (TWCC for GCC every ~50 ms, RFC
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from repro.cc.base import CongestionController, FeedbackKind
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
@@ -94,11 +97,6 @@ class VideoReceiver:
         #: 50 ms stride loses no detection power while cutting the
         #: per-packet traced cost to one float compare.
         self._owd_sample_at = 0.0
-        #: Per-packet instruments, resolved once so a delivered packet
-        #: pays no registry lookup (no-op handles when obs is off).
-        self._m_packets = obs.counter("receiver/packets")
-        self._m_bytes = obs.counter("receiver/bytes")
-        self._m_owd_ms = obs.histogram("receiver/owd_ms")
         self.assembler = FrameAssembler()
         self.jitter_buffer = JitterBuffer(
             loop,
@@ -141,17 +139,38 @@ class VideoReceiver:
 
         Flushing the jitter buffer cancels its scheduled release
         events, so a stopped receiver leaves the event loop clean.
+        With obs on, the streaming detectors close, and the per-packet
+        metrics are recorded as folds of :attr:`packet_log` and the
+        jitter buffer's release count.
         """
         if self._feedback_timer is not None:
             self._feedback_timer.stop()
         if self._rr_timer is not None:
             self._rr_timer.stop()
         self.jitter_buffer.flush()
-        if self.obs.enabled:
+        obs = self.obs
+        if obs.enabled:
             now = self._loop.now
             self.player.finish(now)
             self._window.finish(now)
             self._owd_anomaly.finish(now)
+            log = self.packet_log
+            if log:
+                # map + attrgetter read the log in C: no Python frame
+                # and no intermediate list per packet.
+                n = len(log)
+                obs.count("receiver/packets", n)
+                obs.count(
+                    "receiver/bytes", sum(map(attrgetter("size_bytes"), log))
+                )
+                owd = np.fromiter(
+                    map(attrgetter("received_at"), log), np.float64, n
+                )
+                owd -= np.fromiter(map(attrgetter("sent_at"), log), np.float64, n)
+                obs.observe_many("receiver/owd_ms", to_ms(owd))
+            released = self.jitter_buffer.released_packets
+            if released:
+                obs.count("jitter/released", released)
 
     def _send_receiver_report(self) -> None:
         if self.accountant.expected == 0:
@@ -193,17 +212,14 @@ class VideoReceiver:
         if self._ccfb is not None:
             self._ccfb.on_packet(sequence, now)
         if self.obs.enabled:
-            self.obs.begin_block()
-            owd_ms = to_ms(now - datagram.sent_at)
-            self._m_packets.inc()
-            self._m_bytes.inc(size)
-            self._m_owd_ms.observe(owd_ms)
-            if self._windowed:
-                self._window.add(now, (float(size), 1.0), (owd_ms,))
-            if now >= self._owd_sample_at:
-                self._owd_anomaly.update(now, owd_ms)
-                self._owd_sample_at = now + OWD_SAMPLE_INTERVAL
-            self.obs.end_block()
+            sampled = now >= self._owd_sample_at
+            if sampled or self._windowed:
+                owd_ms = to_ms(now - datagram.sent_at)
+                if self._windowed:
+                    self._window.add(now, (float(size), 1.0), (owd_ms,))
+                if sampled:
+                    self._owd_anomaly.update(now, owd_ms)
+                    self._owd_sample_at = now + OWD_SAMPLE_INTERVAL
         self.jitter_buffer.push(packet, now)
 
     def _on_packet_released(self, packet: RtpPacket, when: float) -> None:

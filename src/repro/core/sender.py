@@ -12,9 +12,12 @@ recovery *and* blames for the receiver-side sequence jumps.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from math import inf
+
+import numpy as np
 
 from repro.cc.base import CongestionController, SentPacket
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
@@ -93,11 +96,10 @@ class VideoSender:
         self._queue_anomaly = EwmaZScore(
             obs, "sender.queue_anomaly", min_delta=50.0,
         )
-        #: Per-packet instruments, resolved once so a sent packet pays
-        #: no registry lookup (no-op handles when obs is off).
-        self._m_packets_sent = obs.counter("sender/packets_sent")
-        self._m_bytes_sent = obs.counter("sender/bytes_sent")
-        self._m_queue_delay_ms = obs.histogram("sender/queue_delay_ms")
+        #: Head-of-line age (seconds) after each send, kept only while
+        #: obs is on: :meth:`stop` folds it into the per-packet metrics.
+        #: A typed buffer holds 8 bytes per packet, a list of floats 32.
+        self._queue_delays = array("d")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -117,7 +119,9 @@ class VideoSender:
         """Stop frame production and cancel in-flight pacer/encode events.
 
         A stopped sender leaves the event loop clean, so
-        ``EventLoop.pending()`` stays meaningful after teardown.
+        ``EventLoop.pending()`` stays meaningful after teardown. With
+        obs on, the per-packet metrics are recorded here, as folds of
+        :attr:`stats` and the per-send head-of-line ages.
         """
         if self._frame_timer is not None:
             self._frame_timer.stop()
@@ -129,8 +133,16 @@ class VideoSender:
         if self._pacer_handle is not None:
             self._pacer_handle.cancel()
             self._pacer_handle = None
-        if self.obs.enabled:
+        obs = self.obs
+        if obs.enabled:
             self._queue_anomaly.finish(self._loop.now)
+            stats = self.stats
+            if stats.packets_sent:
+                obs.count("sender/packets_sent", stats.packets_sent)
+                obs.count("sender/bytes_sent", stats.bytes_sent)
+            obs.observe_many(
+                "sender/queue_delay_ms", to_ms(np.array(self._queue_delays))
+            )
 
     def _call_later(self, delay: float, callback) -> None:
         """Schedule ``callback``, tracking the handle for teardown."""
@@ -274,11 +286,7 @@ class VideoSender:
         # Age of the next queued packet, as ``queue_delay`` reports it.
         head_delay = now - queue[0][1] if queue else 0.0
         if self.obs.enabled:
-            self.obs.begin_block()
-            self._m_packets_sent.inc()
-            self._m_bytes_sent.inc(size)
-            self._m_queue_delay_ms.observe(to_ms(head_delay))
-            self.obs.end_block()
+            self._queue_delays.append(head_delay)
         controller.on_packet_sent(
             SentPacket(packet.sequence, packet.transport_seq, size, now,
                        packet.frame_id),

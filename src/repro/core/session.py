@@ -533,12 +533,13 @@ def run_session(
     outcome is bit-identical to an untraced run (recorders draw no
     random numbers and schedule no events), and the run's
     recording-time share lands in ``result.extra["obs_overhead"]``:
-    ``recording_s`` sums the clock pair each name-keyed record times
-    itself with, plus one clock pair per per-packet block (the sender,
-    receiver and jitter-buffer bound-instrument updates, the receiver's
-    OWD anomaly feed and, at the trace tier, its window bins); the
-    per-frame and per-tick detector feeds run untimed. ``wall_s`` is
-    the whole run and ``share`` their ratio.
+    ``recording_s`` sums the clock pair each record times itself
+    with, including the teardown folds that record the per-packet
+    metrics from the packet log and sender stats. The detector feeds
+    run untimed: the per-frame and per-tick ones, the receiver's OWD
+    anomaly feed (one sample per 50 ms) and, at the trace tier, its
+    per-packet window bins. ``wall_s`` is the whole run and ``share``
+    their ratio.
     Passing a ``recorder`` instance explicitly keeps its historical
     meaning and wins over ``obs``. ``draws`` forwards sweep-preloaded
     draw buffers to :func:`build_session` (bit-identical either way).

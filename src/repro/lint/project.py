@@ -48,7 +48,7 @@ Facts schema (per file)
     resolvable call.
 ``emits`` / ``consumes``
     Trace/metric names produced (``obs.event("x.y")``,
-    ``obs.counter("x/y")``, ``WindowedStats(obs, "x.y")``, ...) and
+    ``obs.count("x/y")``, ``WindowedStats(obs, "x.y")``, ...) and
     names string-matched against a ``.name`` attribute.
 ``rng``
     Per-scope RNG stream flows: factory objects with their
@@ -81,7 +81,7 @@ from repro.lint.rules import _CLOCK_CALLS, _suffix_unit, dotted_name
 
 #: Bump to invalidate every cached facts record (schema or extraction
 #: logic change).
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 #: Prefixes of global keys that can resolve inside the project.
 PROJECT_PREFIXES = ("repro.", "tools.", "examples.", "benchmarks.")
@@ -107,13 +107,7 @@ RECORDER_NAMES = ("obs", "recorder", "_obs", "_recorder")
 
 #: Emitting method names on a recorder (trace + metric halves).
 TRACE_EMIT_ATTRS = ("event", "span", "span_at")
-#: Recorder accessors returning a bound instrument handle
-#: (``obs.counter("x/y")``): the name is emitted where the handle is
-#: resolved, and the handle's updates carry no name.
-METRIC_BIND_ATTRS = ("counter", "histogram")
-METRIC_EMIT_ATTRS = ("count", "gauge", "observe") + METRIC_BIND_ATTRS
-#: Update methods of a bound instrument handle (value = first arg).
-INSTRUMENT_UPDATE_ATTRS = ("inc", "observe")
+METRIC_EMIT_ATTRS = ("count", "gauge", "observe", "observe_many")
 
 #: Detector constructors that emit their ``name`` argument as trace
 #: events/spans (see repro.obs.detect); EwmaZScore additionally bumps
@@ -165,20 +159,6 @@ def content_hash(source: str) -> str:
 # ----------------------------------------------------------------------
 # extraction
 # ----------------------------------------------------------------------
-def _is_instrument_bind(value: ast.AST) -> bool:
-    """Whether ``value`` resolves a bound instrument from a recorder."""
-    if not (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and value.func.attr in METRIC_BIND_ATTRS
-    ):
-        return False
-    receiver = dotted_name(value.func.value)
-    return receiver is not None and (
-        receiver.rsplit(".", 1)[-1] in RECORDER_NAMES
-    )
-
-
 class _FactExtractor(ast.NodeVisitor):
     """Single-pass fact extraction over one module AST."""
 
@@ -197,9 +177,6 @@ class _FactExtractor(ast.NodeVisitor):
         self._class_stack: list[str] = []
         self._func_stack: list[str] = []
         self._module_defs: set[str] = set()
-        #: Dotted targets assigned a bound instrument handle anywhere
-        #: in the module (``self._m_x = obs.counter(...)``).
-        self._instrument_handles: set[str] = set()
 
     # -- scope bookkeeping ---------------------------------------------
     @property
@@ -343,12 +320,6 @@ class _FactExtractor(ast.NodeVisitor):
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 self._module_defs.add(stmt.name)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign) and _is_instrument_bind(sub.value):
-                for target in sub.targets:
-                    handle = dotted_name(target)
-                    if handle is not None:
-                        self._instrument_handles.add(handle)
         self.generic_visit(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -711,12 +682,6 @@ class _FactExtractor(ast.NodeVisitor):
                         sink_exprs.append((f"{func.attr} {kw.arg}=", kw.value))
             elif func.attr in METRIC_EMIT_ATTRS and len(node.args) > 1:
                 sink_exprs.append((f"{func.attr} value", node.args[1]))
-        elif (
-            func.attr in INSTRUMENT_UPDATE_ATTRS
-            and receiver in self._instrument_handles
-            and node.args
-        ):
-            sink_exprs.append((f"{func.attr} value", node.args[0]))
         for detail, expr in sink_exprs:
             desc = self._desc(expr)
             if desc["wall"] or desc["names"] or desc["calls"]:

@@ -10,10 +10,10 @@ Public surface:
 * :data:`NULL_RECORDER` — the near-zero-cost default every component
   holds; untraced runs pay one ``obs.enabled`` attribute check per
   instrumented site;
-* :class:`BoundInstrument` — the handle ``Recorder.counter`` /
-  ``Recorder.histogram`` return, so per-packet sites update an
-  instrument without a registry lookup (:data:`NULL_INSTRUMENT` is
-  the null recorder's no-op twin);
+* metrics as folds of the run's own logs: per-packet and per-tick
+  metrics are recorded once, at teardown, from columns every result
+  keeps (``Recorder.observe_many`` / ``Histogram.observe_many``;
+  :class:`FleetMetricsPlane` for a fleet's capacity samples);
 * JSONL export/import (:func:`write_jsonl` / :func:`read_jsonl`) and
   the text timeline (:func:`merge_traces` / :func:`filter_records` /
   :func:`render_timeline`) behind the ``repro trace`` CLI;
@@ -66,11 +66,8 @@ from repro.obs.metrics import (
     format_key,
 )
 from repro.obs.recorder import (
-    NULL_INSTRUMENT,
     NULL_RECORDER,
-    BoundInstrument,
     MetricsRecorder,
-    NullInstrument,
     NullRecorder,
     ObsLevel,
     Recorder,
@@ -90,13 +87,11 @@ from repro.obs.timeline import filter_records, merge_traces, render_timeline
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "NULL_INSTRUMENT",
     "NULL_RECORDER",
     "RATE_BUCKETS",
     "SHARE_BUCKETS",
     "SINR_DB_BUCKETS",
     "Attribution",
-    "BoundInstrument",
     "CampaignStatusWriter",
     "Cause",
     "Counter",
@@ -108,7 +103,6 @@ __all__ = [
     "Histogram",
     "MetricsRecorder",
     "MetricsRegistry",
-    "NullInstrument",
     "NullRecorder",
     "ObsLevel",
     "RankedCause",

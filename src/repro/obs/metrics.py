@@ -5,8 +5,9 @@ Metrics are keyed by ``component/name`` plus a label set, e.g.
 around the campaign engine's process model:
 
 * instruments are plain Python objects with one mutation method each
-  (``inc`` / ``set`` / ``observe``) — cheap enough for per-packet
-  call sites when tracing is on, absent entirely when it is off;
+  (``inc`` / ``set`` / ``observe``); a histogram also folds a whole
+  logged column at once (:meth:`Histogram.observe_many`), which is
+  how per-packet and per-tick metrics are recorded at teardown;
 * :meth:`MetricsRegistry.snapshot` renders the whole registry to
   plain picklable data, which worker processes attach to their
   :class:`~repro.core.session.SessionResult` records;
@@ -26,7 +27,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -128,6 +129,37 @@ class Histogram:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record a column (list or 1-D array), bit for bit as :meth:`observe`.
+
+        Equal to ``for v in values: self.observe(v)`` for non-NaN
+        values: ``searchsorted(side="left")`` is ``bisect_left``; the
+        total is the sequential running sum ``np.add.accumulate``
+        forms (``np.sum`` sums pairwise, and Python 3.12's float
+        ``sum`` is compensated, so neither matches); and the first
+        occurrence of each extreme wins, as the strict comparisons
+        of :meth:`observe` keep it (``-0.0`` never replaces ``0.0``).
+        An empty column changes nothing.
+        """
+        column = np.asarray(values, dtype=np.float64)
+        if column.size == 0:
+            return
+        added = np.bincount(
+            np.searchsorted(self.buckets, column, side="left"),
+            minlength=len(self.counts),
+        ).tolist()
+        self.counts = [old + new for old, new in zip(self.counts, added)]
+        self.count += column.size
+        with np.errstate(over="ignore", invalid="ignore"):  # as float +
+            running = np.add.accumulate(np.concatenate(([self.total], column)))
+        self.total = float(running[-1])
+        low = float(column[column.argmin()])
+        if low < self.minimum:
+            self.minimum = low
+        high = float(column[column.argmax()])
+        if high > self.maximum:
+            self.maximum = high
 
     @property
     def mean(self) -> float:
@@ -357,7 +389,7 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# vectorized fleet metrics plane
+# fleet metrics plane
 # ---------------------------------------------------------------------------
 
 #: Uplink goodput histogram bounds (bits/second).
@@ -375,34 +407,26 @@ SINR_DB_BUCKETS: tuple[float, ...] = (
 
 
 class FleetMetricsPlane:
-    """Struct-of-arrays metrics accumulator for a fleet run.
+    """Per-member fleet metrics, folded from recorded capacity samples.
 
-    The metrics tier of a fleet cannot afford per-member
-    ``Recorder.observe`` calls (the whole point of the fast path is
-    that no per-member Python work scales with N), so this plane keeps
-    the per-member instruments as ``(N,)``/``(N, buckets)`` numpy
-    arrays and ingests one row set per fleet tick:
+    A metrics-tier fleet records nothing while it runs: every value
+    the plane reports is already in each member's
+    :class:`~repro.cellular.channel.CapacitySample` log, one sample per
+    tick. :func:`~repro.core.fleet.run_fleet` calls
+    :meth:`observe_channels` once, after the loop, and the plane folds
+    each member's samples into :attr:`registry`, labelled
+    ``member=i``:
 
-    * :meth:`observe_channels` — the
-      :class:`~repro.cellular.batch.FleetTicker` calls it once per
-      tick, after all member ``_tick``s, reading the live per-channel
-      state (``_uplink_bps`` / ``_share_ul`` / ``_sinr_db``).
-    * :meth:`observe_samples` — replays the identical per-tick
-      ingestion from recorded
-      :class:`~repro.cellular.channel.CapacitySample` lists, giving a
-      bit-identical snapshot. No simulator path calls it; it stays as
-      an entry point of the ``benchmarks/perf`` layer shim.
+    * ``fleet/uplink_bps``, ``fleet/uplink_share`` and
+      ``fleet/sinr_db`` histograms (edges :data:`RATE_BUCKETS`,
+      :data:`SHARE_BUCKETS` and :data:`SINR_DB_BUCKETS`), one
+      :meth:`Histogram.observe_many` each;
+    * ``fleet/ticks`` and ``fleet/congestion_time`` counters.
 
-    :meth:`snapshot` renders the arrays in the exact record format of
-    :meth:`MetricsRegistry.snapshot` (histogram edges from
-    :data:`RATE_BUCKETS` / :data:`SHARE_BUCKETS` /
-    :data:`SINR_DB_BUCKETS`), so plane output merges into any
-    registry with the standard order-independent rules.
-
-    Congestion accounting mirrors
-    ``Channel._track_congestion`` exactly: a tick is congested iff
-    its share is **strictly below** ``congestion_share``, and each
-    congested tick contributes ``tick_period`` simulated seconds.
+    Congestion accounting mirrors ``Channel._track_congestion``
+    exactly: a tick is congested iff its share is **strictly below**
+    ``congestion_share``, and each congested tick contributes
+    ``tick_period`` simulated seconds.
     """
 
     def __init__(
@@ -417,72 +441,28 @@ class FleetMetricsPlane:
         self.n_members = n_members
         self.congestion_share = float(congestion_share)
         self.tick_period = float(tick_period)
-        self.ticks = 0
-        #: Wall seconds spent ingesting (the plane's share of the
+        #: Wall seconds spent folding (the plane's share of the
         #: ``obs.overhead`` self-metric).
         self.overhead_s = 0.0
         # Wall-clock self-accounting only; never feeds sim state.
         self._timer = time.perf_counter  # repro-lint: ignore[RPL001]  # overhead self-metric
-        self._congested = np.zeros(n_members, dtype=np.int64)
-        # All three instruments share one stacked array set so a tick
-        # costs a handful of numpy calls regardless of spec count.
-        # The bucket edge counts happen to be equal; the stacking
-        # relies on it.
-        self._names = ("fleet/uplink_bps", "fleet/uplink_share",
-                       "fleet/sinr_db")
-        bucket_sets = (RATE_BUCKETS, SHARE_BUCKETS, SINR_DB_BUCKETS)
-        edges = len(bucket_sets[0])
-        assert all(len(b) == edges for b in bucket_sets)
-        self._buckets = np.asarray(bucket_sets, dtype=np.float64)
-        self._counts = np.zeros((3, n_members, edges + 1), dtype=np.int64)
-        self._total = np.zeros((3, n_members), dtype=np.float64)
-        self._min = np.full((3, n_members), np.inf)
-        self._max = np.full((3, n_members), -np.inf)
-        self._spec_rows = np.arange(3)[:, None]
-        self._member_rows = np.arange(n_members)[None, :]
-        self._scratch = np.empty((3, n_members), dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # per-tick ingestion
-    # ------------------------------------------------------------------
-    def _ingest(self, rows: np.ndarray) -> None:
-        """Fold one tick's ``(3, N)`` rows (rate, share, sinr) in."""
-        # Count of edges strictly below the value == bisect_left ==
-        # searchsorted(side='left'), so bucket attribution is
-        # identical to Histogram.observe.
-        index = (self._buckets[:, :, None] < rows[:, None, :]).sum(axis=1)
-        self._counts[self._spec_rows, self._member_rows, index] += 1
-        self._total += rows
-        np.minimum(self._min, rows, out=self._min)
-        np.maximum(self._max, rows, out=self._max)
-        self._congested += rows[1] < self.congestion_share
-        self.ticks += 1
+        self.registry = MetricsRegistry()
 
     def observe_channels(self, channels) -> None:
-        """Ingest the live post-tick state of every member channel."""
-        timer = self._timer
-        start = timer()
-        rows = self._scratch
-        for i, channel in enumerate(channels):
-            rows[0, i] = channel._uplink_bps
-            rows[1, i] = channel._share_ul
-            rows[2, i] = channel._sinr_db
-        self._ingest(rows)
-        self.overhead_s += timer() - start
+        """Fold every member channel's recorded capacity samples in."""
+        self.observe_samples([channel.samples for channel in channels])
 
     def observe_samples(self, member_samples) -> None:
-        """Replay recorded per-member sample lists, tick by tick.
+        """Fold one recorded sample sequence per member, in member order.
 
-        ``member_samples`` is one sample sequence per member, all the
-        same length (fleet members tick in lockstep). Each tick goes
-        through the same :meth:`_ingest` op as
-        :meth:`observe_channels` so float totals accumulate in the
-        identical order. No production caller: ``run_fleet`` feeds the
-        plane live, and this method is kept only because the
-        ``benchmarks/perf`` layer shim lists it as an entry point.
+        ``member_samples`` holds exactly :attr:`n_members` sequences,
+        all the same length (fleet members tick in lockstep).
         """
-        if not member_samples:
-            return
+        if len(member_samples) != self.n_members:
+            raise ValueError(
+                f"{len(member_samples)} member sample lists for a "
+                f"{self.n_members}-member fleet plane"
+            )
         n_ticks = len(member_samples[0])
         for samples in member_samples:
             if len(samples) != n_ticks:
@@ -492,45 +472,28 @@ class FleetMetricsPlane:
                 )
         timer = self._timer
         start = timer()
-        rows = self._scratch
-        for k in range(n_ticks):
-            for i, samples in enumerate(member_samples):
-                sample = samples[k]
-                rows[0, i] = sample.uplink_bps
-                rows[1, i] = sample.uplink_share
-                rows[2, i] = sample.sinr_db
-            self._ingest(rows)
+        registry = self.registry
+        for member, samples in enumerate(member_samples):
+            shares = np.array([s.uplink_share for s in samples], dtype=np.float64)
+            congested = np.count_nonzero(shares < self.congestion_share)
+            registry.counter("fleet/ticks", member=member).inc(float(n_ticks))
+            registry.counter("fleet/congestion_time", member=member).inc(
+                float(congested) * self.tick_period
+            )
+            registry.histogram(
+                "fleet/uplink_bps", RATE_BUCKETS, member=member
+            ).observe_many([s.uplink_bps for s in samples])
+            registry.histogram(
+                "fleet/uplink_share", SHARE_BUCKETS, member=member
+            ).observe_many(shares)
+            registry.histogram(
+                "fleet/sinr_db", SINR_DB_BUCKETS, member=member
+            ).observe_many([s.sinr_db for s in samples])
         self.overhead_s += timer() - start
 
-    # ------------------------------------------------------------------
-    # snapshot / fold
-    # ------------------------------------------------------------------
     def snapshot(self) -> list[dict[str, Any]]:
-        """Render as :meth:`MetricsRegistry.snapshot`-format records."""
-        records: list[dict[str, Any]] = []
-        for member in range(self.n_members):
-            records.append({
-                "kind": "counter", "name": "fleet/ticks",
-                "labels": {"member": member}, "value": float(self.ticks),
-            })
-            records.append({
-                "kind": "counter", "name": "fleet/congestion_time",
-                "labels": {"member": member},
-                "value": float(self._congested[member]) * self.tick_period,
-            })
-            for spec, name in enumerate(self._names):
-                records.append({
-                    "kind": "histogram", "name": name,
-                    "labels": {"member": member},
-                    "buckets": [float(b) for b in self._buckets[spec]],
-                    "counts": [int(c) for c in self._counts[spec, member]],
-                    "count": self.ticks,
-                    "total": float(self._total[spec, member]),
-                    "min": float(self._min[spec, member]),
-                    "max": float(self._max[spec, member]),
-                })
-        records.sort(key=lambda r: (r["name"], sorted(r["labels"].items())))
-        return records
+        """The folded registry's :meth:`MetricsRegistry.snapshot`."""
+        return self.registry.snapshot()
 
     def fold_into(self, registry: MetricsRegistry) -> None:
         """Merge this plane's snapshot into ``registry``."""
@@ -540,8 +503,8 @@ class FleetMetricsPlane:
 def _declare_fleet_plane_names(obs) -> None:
     """RPL008 declaration twin for names the plane writes directly.
 
-    :class:`FleetMetricsPlane` builds its registry records from numpy
-    arrays rather than through recorder calls, so the static
+    :class:`FleetMetricsPlane` fills its own registry rather than
+    going through recorder calls, so the static
     trace-schema scan cannot see the metric names at their real emit
     sites. This never-called function declares them with literal
     recorder calls the linter does recognize.

@@ -7,10 +7,10 @@ traces from different seeds are meaningfully diffable.
 Instrumented components hold a recorder reference that defaults to
 the module-level :data:`NULL_RECORDER`; hot paths guard their
 recording with ``if obs.enabled:`` so an untraced run pays exactly
-one attribute check per site and allocates nothing. Per-packet sites
-go one step further: they resolve their instruments once
-(:meth:`Recorder.counter` / :meth:`Recorder.histogram`) and update the
-returned handle directly, with no name lookup per packet.
+one attribute check per site and allocates nothing. Per-packet and
+per-tick metrics are not recorded live at all: the owning component
+folds them from the run's own logs at teardown
+(:meth:`Recorder.observe_many`, :meth:`Recorder.count`).
 
 Naming convention: record names are ``component.what`` (for example
 ``handover.execution``, ``gcc.overuse``); the part before the first
@@ -26,10 +26,9 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator, Sequence
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Metric, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 
 class ObsLevel(enum.Enum):
@@ -38,10 +37,13 @@ class ObsLevel(enum.Enum):
     * ``OFF`` — the :data:`NULL_RECORDER` default: one ``obs.enabled``
       attribute check per instrumented site, nothing recorded.
     * ``METRICS`` — counters/gauges/histograms only (snapshotable and
-      mergeable across workers); trace emission is a no-op. Metrics-
-      level sessions stay batchable in the campaign planner, and
-      metrics-level fleets stay on the vectorized tick path (fed by
-      :class:`~repro.obs.metrics.FleetMetricsPlane`).
+      mergeable across workers); trace emission is a no-op. The
+      per-packet and per-tick metrics are folded at teardown from
+      logs the run keeps anyway (a session's packet log and sender
+      stats; each fleet member's capacity samples, through
+      :class:`~repro.obs.metrics.FleetMetricsPlane`), so the loop pays
+      only the per-frame, per-feedback and per-tick records.
+      Metrics-level sessions stay batchable in the campaign planner.
     * ``TRACE`` — the full sim-time trace plus metrics. Trace-level
       units are excluded from struct-of-arrays batches (the trace is
       part of the payload); fleet members sampled via
@@ -144,47 +146,6 @@ class TraceSpan:
 TraceRecord = TraceEvent | TraceSpan
 
 
-class NullInstrument:
-    """Instrument handle that ignores every update (the null twin's)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Ignore a counter increment."""
-
-    def observe(self, value: float) -> None:
-        """Ignore a histogram observation."""
-
-
-#: Shared handle every :class:`NullRecorder` accessor returns.
-NULL_INSTRUMENT = NullInstrument()
-
-
-class BoundInstrument:
-    """Handle to one registry instrument, registered on first update.
-
-    ``resolve`` is the registry's get-or-create call for the
-    instrument. The first :meth:`inc` or :meth:`observe` makes it, so
-    an instrument enters the registry exactly when a name-keyed record
-    would have created it, and then stores the instrument's own bound
-    method on the handle: every later update is one direct call, with
-    no registry lookup, label sort or overhead clock read.
-    """
-
-    def __init__(self, resolve: Callable[[], Metric]) -> None:
-        self._resolve = resolve
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increment the counter, registering it on first use."""
-        self.inc = self._resolve().inc  # type: ignore[method-assign]
-        self.inc(amount)
-
-    def observe(self, value: float) -> None:
-        """Observe ``value`` in the histogram, registering it on first use."""
-        self.observe = self._resolve().observe  # type: ignore[method-assign]
-        self.observe(value)
-
-
 class NullRecorder:
     """Do-nothing recorder: the default wired into every component.
 
@@ -228,24 +189,14 @@ class NullRecorder:
     ) -> None:
         """Ignore a histogram observation."""
 
-    def counter(self, name: str, **labels: Any) -> NullInstrument:
-        """The shared no-op counter handle."""
-        return NULL_INSTRUMENT
-
-    def histogram(
+    def observe_many(
         self,
         name: str,
+        values: Sequence[float],
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: Any,
-    ) -> NullInstrument:
-        """The shared no-op histogram handle."""
-        return NULL_INSTRUMENT
-
-    def begin_block(self) -> None:
-        """Ignore the start of a timed recording block."""
-
-    def end_block(self) -> None:
-        """Ignore the end of a timed recording block."""
+    ) -> None:
+        """Ignore a column of histogram observations."""
 
 
 #: Shared null recorder instance; components default to this.
@@ -274,11 +225,8 @@ class Recorder(NullRecorder):
     (two clock reads per record) and accumulates into
     :attr:`overhead_s` — the raw material of the ``obs.overhead``
     self-metric that ``run_session``/``run_fleet`` surface in
-    ``result.extra["obs_overhead"]``. Bound-instrument updates do not
-    time themselves; their call sites bracket each block of updates
-    with :meth:`begin_block`/:meth:`end_block`, one clock pair per
-    block. Off by default: the recorded values never feed back into
-    the simulation either way.
+    ``result.extra["obs_overhead"]``. Off by default: the recorded
+    values never feed back into the simulation either way.
     """
 
     enabled = True
@@ -296,7 +244,6 @@ class Recorder(NullRecorder):
         self._clock = clock
         self._depth = 0
         self.overhead_s = 0.0
-        self._block_start = 0.0
         # Wall-clock self-accounting only: the measured time never
         # reaches sim state or record timestamps.
         self._timer = time.perf_counter if measure_overhead else None  # repro-lint: ignore[RPL001]  # overhead self-metric
@@ -432,50 +379,29 @@ class Recorder(NullRecorder):
         if timer is not None:
             self.overhead_s += timer() - start
 
-    # ------------------------------------------------------------------
-    # bound instruments (per-packet sites)
-    # ------------------------------------------------------------------
-    def counter(self, name: str, **labels: Any) -> BoundInstrument:
-        """Handle to the counter ``name{labels}`` for repeated updates.
-
-        Resolve it once, outside the hot path, then call ``inc`` on
-        it. The counter joins the registry on the first ``inc``, so a
-        handle that is never updated leaves no zero-count record. The
-        unregistered-name check runs here, once per name.
-        """
-        if self._known_names is not None:
-            self._check_name(name)
-        return BoundInstrument(partial(self.registry.counter, name, **labels))
-
-    def histogram(
+    def observe_many(
         self,
         name: str,
+        values: Sequence[float],
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
         **labels: Any,
-    ) -> BoundInstrument:
-        """Handle to the histogram ``name{labels}`` (see :meth:`counter`)."""
-        if self._known_names is not None:
-            self._check_name(name)
-        return BoundInstrument(
-            partial(self.registry.histogram, name, buckets=buckets, **labels)
-        )
+    ) -> None:
+        """Observe every value of the column ``values`` in ``name{labels}``.
 
-    def begin_block(self) -> None:
-        """Start the clock over a block of bound-instrument updates.
-
-        With ``measure_overhead=True``, :meth:`end_block` charges the
-        whole block to :attr:`overhead_s`: one clock pair per block
-        instead of one per record. Blocks do not nest.
+        Records bit for bit what ``for v in values: self.observe(name,
+        v, ...)`` would (:meth:`Histogram.observe_many`), so an empty
+        column creates no record. The whole fold is one timed record.
         """
         timer = self._timer
+        start = timer() if timer is not None else 0.0
+        if self._known_names is not None:
+            self._check_name(name)
+        if len(values):
+            self.registry.histogram(
+                name, buckets=buckets, **labels
+            ).observe_many(values)
         if timer is not None:
-            self._block_start = timer()
-
-    def end_block(self) -> None:
-        """Charge the block opened by :meth:`begin_block`."""
-        timer = self._timer
-        if timer is not None:
-            self.overhead_s += timer() - self._block_start
+            self.overhead_s += timer() - start
 
 
 class MetricsRecorder(Recorder):

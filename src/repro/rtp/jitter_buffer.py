@@ -119,8 +119,6 @@ class JitterBuffer:
         self._waiting: deque[tuple[RtpPacket, float]] = deque()
         self._head_handle: EventHandle | None = None
         self.gap_events = 0
-        #: Per-packet instrument, resolved once (no-op when obs is off).
-        self._m_released = obs.counter("jitter/released")
 
     @property
     def released_packets(self) -> int:
@@ -242,10 +240,6 @@ class JitterBuffer:
         if self._flushed:
             return
         self._released += 1
-        if self.obs.enabled:
-            self.obs.begin_block()
-            self._m_released.inc()
-            self.obs.end_block()
         self._release(packet, when)
 
     def flush(self) -> None:

@@ -354,16 +354,16 @@ def schema_module(trace: list[str], metric: list[str] | None = None) -> str:
     )
 
 
-BOUND_EMITTER = (
+FOLD_EMITTER = (
     "class Sender:\n"
     "    def __init__(self, obs):\n"
     "        self.obs = obs\n"
-    "        self._m_sent = obs.counter(\"x/sent\")\n"
-    "        self._m_owd = obs.histogram(\"y/owd_ms\")\n"
-    "    def run(self):\n"
+    "        self.sent = 0\n"
+    "        self.owd_ms = []\n"
+    "    def stop(self):\n"
     "        if self.obs.enabled:\n"
-    "            self._m_sent.inc()\n"
-    "            self._m_owd.observe(1.0)\n"
+    "            self.obs.count(\"x/sent\", self.sent)\n"
+    "            self.obs.observe_many(\"y/owd_ms\", self.owd_ms)\n"
 )
 
 
@@ -415,22 +415,23 @@ class TestTraceSchema:
         assert cross_ids(sources) == []
 
     def test_bound_instrument_accessors_count_as_metric_emits(self):
+        # Teardown folds (count + observe_many) are metric emits.
         sources = {
-            "src/repro/fake_bound.py": BOUND_EMITTER,
+            "src/repro/fake_fold.py": FOLD_EMITTER,
             "src/repro/obs/schema.py": schema_module([], ["x/sent", "y/owd_ms"]),
         }
         index, _ = build_project(sources)
-        emits = index.files["src/repro/fake_bound.py"]["emits"]
+        emits = index.files["src/repro/fake_fold.py"]["emits"]
         assert sorted((e["name"], e["kind"], e["via"]) for e in emits) == [
-            ("x/sent", "metric", "counter"),
-            ("y/owd_ms", "metric", "histogram"),
+            ("x/sent", "metric", "count"),
+            ("y/owd_ms", "metric", "observe_many"),
         ]
-        # Registered: silent, including the handle updates.
+        # Registered: silent, including the column argument.
         assert cross_ids(sources) == []
 
     def test_unregistered_bound_instrument_fires(self):
         sources = {
-            "src/repro/fake_bound.py": BOUND_EMITTER,
+            "src/repro/fake_fold.py": FOLD_EMITTER,
             "src/repro/obs/schema.py": schema_module([], ["x/sent"]),
         }
         index, _ = build_project(sources)
@@ -442,9 +443,10 @@ class TestTraceSchema:
 
     def test_stale_entry_fires_when_last_bound_emitter_is_removed(self):
         sources = {
-            "src/repro/fake_bound.py": BOUND_EMITTER.replace(
-                "        self._m_owd = obs.histogram(\"y/owd_ms\")\n", ""
-            ).replace("        self._m_owd.observe(1.0)\n", ""),
+            "src/repro/fake_fold.py": FOLD_EMITTER.replace(
+                "            self.obs.observe_many(\"y/owd_ms\", self.owd_ms)\n",
+                "",
+            ),
             "src/repro/obs/schema.py": schema_module([], ["x/sent", "y/owd_ms"]),
         }
         index, _ = build_project(sources)
@@ -628,17 +630,18 @@ class TestWallTaint:
         assert findings[0].path == "src/repro/fake_emit.py"
 
     def test_wall_clock_into_bound_instrument_fires(self):
+        # The column of an observe_many fold is a metric value sink.
         sources = {
             "src/repro/fake_taint.py": (
                 "import time\n"
                 "\n"
                 "class S:\n"
                 "    def __init__(self, obs):\n"
-                "        self._m_lag = obs.histogram(\"x/lag_ms\")\n"
-                "        self._m_ticks = obs.counter(\"x/ticks\")\n"
-                "    def go(self):\n"
-                "        self._m_ticks.inc()\n"
-                "        self._m_lag.observe(time.perf_counter())\n"
+                "        self.obs = obs\n"
+                "        self.ticks = 0\n"
+                "    def stop(self, sent_at):\n"
+                "        self.obs.count(\"x/ticks\", self.ticks)\n"
+                "        self.obs.observe_many(\"x/lag_ms\", time.time() - sent_at)\n"
             ),
         }
         index, _ = build_project(sources)
@@ -916,11 +919,9 @@ class TestRecorderSchemaWarnings:
         recorder = Recorder(warn_unregistered=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            recorder.counter("receiver/packets").inc()  # registered
-            typo = recorder.counter("receiver/packtes")  # warns here
-            typo.inc()
-            typo.inc()
-            recorder.histogram("receiver/packtes")  # repeat: silent
+            recorder.observe_many("receiver/owd_ms", [1.0])  # registered
+            recorder.observe_many("receiver/packtes", [1.0, 2.0])  # warns
+            recorder.observe_many("receiver/packtes", [3.0])  # repeat: silent
         assert len(caught) == 1
         assert "receiver/packtes" in str(caught[0].message)
         assert caught[0].filename == __file__

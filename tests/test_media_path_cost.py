@@ -12,6 +12,12 @@ No wall-clock assertion. Each ceiling sits a few calls above what the
 media path makes (about 43, 56 and 68); a path that recomputes
 ``wire_size`` on every read and pays ``max`` and helper hops on every
 packet makes about 70, 86 and 100.
+
+The metrics tier is gated the same way, as the calls it adds per sent
+packet over obs off. Its per-packet metrics are folds of the run's
+logs at teardown, so what is left is the per-frame, per-feedback and
+per-tick records (about 0.3, 1.7 and 1.1); recording them live, one
+instrument update per packet and site, adds about 15-17.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.core.session import run_session
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
-def repro_calls_per_packet(config: ScenarioConfig) -> float:
+def repro_calls_per_packet(config: ScenarioConfig, obs: str = "off") -> float:
     """``repro`` function calls made per sent packet by one session."""
     counts: dict = {}
 
@@ -40,7 +46,7 @@ def repro_calls_per_packet(config: ScenarioConfig) -> float:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        result = run_session(config, obs="off")
+        result = run_session(config, obs=obs)
     finally:
         sys.setprofile(previous)
     calls = sum(
@@ -61,3 +67,17 @@ def test_repro_calls_per_sent_packet(cc, duration, ceiling):
     )
     assert repro_calls_per_packet(config) <= ceiling
 
+
+
+@pytest.mark.parametrize(
+    ("cc", "duration", "ceiling"),
+    [("static", 5.0, 1.5), ("gcc", 10.0, 3.0), ("scream", 10.0, 2.5)],
+)
+def test_metrics_tier_calls_per_sent_packet(cc, duration, ceiling):
+    config = ScenarioConfig(
+        cc=cc, environment="urban", platform="air", duration=duration, seed=3
+    )
+    added = repro_calls_per_packet(config, "metrics") - repro_calls_per_packet(
+        config
+    )
+    assert added <= ceiling

@@ -3,13 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import ScenarioConfig
 from repro.core.session import run_session
 from repro.experiments import ExperimentSettings, run_matrix
 from repro.obs import (
-    NULL_INSTRUMENT,
     NULL_RECORDER,
     CampaignStatusWriter,
     Counter,
@@ -237,6 +238,7 @@ class TestNullRecorder:
         null.count("a/b")
         null.gauge("a/b", 1.0)
         null.observe("a/b", 1.0)
+        null.observe_many("a/b", [1.0, 2.0])
         assert not hasattr(null, "trace")
         assert not hasattr(null, "registry")
 
@@ -289,51 +291,75 @@ class TestMetricsRecorder:
         assert recorder.registry.get("receiver/owd_ms").count == 1
 
 
-class TestBoundInstruments:
-    def test_null_accessors_share_one_noop_handle(self):
-        null = NullRecorder()
-        counter = null.counter("sender/packets_sent")
-        histogram = null.histogram("receiver/owd_ms", buckets=(1.0, 2.0))
-        assert counter is NULL_INSTRUMENT and histogram is NULL_INSTRUMENT
-        counter.inc(3)
-        histogram.observe(4.0)
-        null.begin_block()
-        null.end_block()
-        assert null.overhead_s == 0.0
+#: Bucket edges for the fold properties; drawn values hit them exactly.
+FOLD_EDGES = (-1.0, 0.0, 1.0, 2.5, 1e3)
+FOLD_VALUES = st.one_of(
+    st.sampled_from(FOLD_EDGES + (-0.0, math.inf, -math.inf)),
+    st.floats(allow_nan=False),
+)
 
-    def test_instrument_registers_on_first_update(self):
-        recorder = MetricsRecorder()
-        sent = recorder.counter("sender/packets_sent")
-        owd = recorder.histogram("receiver/owd_ms", buckets=(10.0, 100.0))
-        # Resolving leaves no zero-count record behind.
-        assert recorder.registry.snapshot() == []
-        sent.inc()
-        sent.inc(2)
-        owd.observe(42.0)
-        assert recorder.registry.get("sender/packets_sent").value == 3
-        histogram = recorder.registry.get("receiver/owd_ms")
-        assert (histogram.buckets, histogram.count) == ((10.0, 100.0), 1)
 
-    def test_updates_match_name_keyed_records(self):
-        bound, keyed = Recorder(), Recorder()
-        owd = bound.histogram("receiver/owd_ms", path="up")
-        size = bound.counter("receiver/bytes", path="up")
-        for value in (0.5, 12.0, 7000.0):
-            owd.observe(value)
-            size.inc(value)
+def _bits(histogram: Histogram) -> tuple:
+    """Every field of a histogram, floats as hex (``-0.0`` != ``0.0``)."""
+    return (
+        histogram.name, histogram.labels, histogram.buckets,
+        histogram.counts, histogram.count, histogram.total.hex(),
+        histogram.minimum.hex(), histogram.maximum.hex(),
+    )
+
+
+class TestObserveMany:
+    """A column fold records exactly what repeated ``observe`` does."""
+
+    @given(
+        prior=st.lists(FOLD_VALUES, min_size=1, max_size=20),
+        column=st.lists(FOLD_VALUES, max_size=60),
+    )
+    # Signed-zero extremes: np.min/np.max keep the last tied zero.
+    @example(prior=[1.0], column=[0.0, -0.0])
+    @example(prior=[-1.0], column=[-0.0, 0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_fold_equals_repeated_observe(self, prior, column):
+        looped = Histogram("x/y", buckets=FOLD_EDGES)
+        folded = Histogram("x/y", buckets=FOLD_EDGES)
+        for histogram in (looped, folded):
+            for value in prior:
+                histogram.observe(value)
+        for value in column:
+            looped.observe(value)
+        folded.observe_many(column)
+        assert _bits(folded) == _bits(looped)
+
+    @given(column=st.lists(FOLD_VALUES, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_recorder_fold_matches_name_keyed_records(self, column):
+        keyed, folded = Recorder(), Recorder()
+        for value in column:
             keyed.observe("receiver/owd_ms", value, path="up")
-            keyed.count("receiver/bytes", value, path="up")
-        assert bound.registry.snapshot() == keyed.registry.snapshot()
+        folded.observe_many("receiver/owd_ms", column, path="up")
+        # An empty column leaves no record, like no observe at all.
+        assert [_bits(h) for h in folded.registry] == [
+            _bits(h) for h in keyed.registry
+        ]
 
-    def test_blocks_charge_overhead_only_when_measured(self):
+    def test_total_is_the_sequential_sum_not_pairwise(self):
+        column = [1e16] + [1.0] * 15
+        running = 3.0
+        for value in column:
+            running += value
+        # np.sum adds pairwise, so it rounds differently here.
+        assert float(np.sum([3.0] + column)) != running
+        histogram = Histogram("x/y")
+        histogram.observe(3.0)
+        histogram.observe_many(column)
+        assert histogram.total == running
+
+    def test_fold_is_timed_when_measured(self):
         measured = Recorder(measure_overhead=True)
-        measured.begin_block()
-        measured.counter("sender/packets_sent").inc()
-        measured.end_block()
+        measured.observe_many("receiver/owd_ms", [1.0, 2.0])
         assert measured.overhead_s > 0.0
         unmeasured = Recorder()
-        unmeasured.begin_block()
-        unmeasured.end_block()
+        unmeasured.observe_many("receiver/owd_ms", [1.0, 2.0])
         assert unmeasured.overhead_s == 0.0
 
 
@@ -342,11 +368,11 @@ class TestMetricsTierCost:
 
     Calls are counted, not timed: wall-clock ratios of the same code
     spread too widely on shared hosts to gate a session on. The static
-    urban session sends ~2.6k packets/s, so the per-packet path
-    dominates every count. The per-frame, per-feedback and per-tick
-    sites stay name-keyed by design and add about 100-200 lookups per
-    simulated second whatever the packet rate, so a low-rate flight
-    (rural SCReAM, ~830 packets/s) sits near 0.14 per packet.
+    urban session sends ~2.6k packets/s. Its per-packet metrics are
+    folds of the run's logs at teardown, one registry lookup each; the
+    per-frame, per-feedback and per-tick sites stay name-keyed by
+    design and add about 100-200 lookups per simulated second whatever
+    the packet rate.
     """
 
     CONFIG = ScenarioConfig(
@@ -373,8 +399,6 @@ class TestMetricsTierCost:
         for attr in ("counter", "gauge", "histogram"):
             self._tally(monkeypatch, MetricsRegistry, attr, calls)
         self._tally(monkeypatch, WindowedStats, "add", calls)
-        for attr in ("begin_block", "end_block"):
-            self._tally(monkeypatch, Recorder, attr, calls)
         result = run_session(self.CONFIG, obs=obs)
         monkeypatch.undo()
         return result, calls
@@ -387,25 +411,11 @@ class TestMetricsTierCost:
         ]
         assert result.packets_sent > 10_000
         assert len(lookups) / result.packets_sent <= 0.1
-        # Each per-packet instrument is looked up once, at its first
-        # update, whatever the packet count.
+        # Each per-packet metric is one teardown fold: one lookup,
+        # whatever the packet count.
         names = [call[1] for call in lookups]
         for name in self.PER_PACKET_NAMES:
             assert names.count(name) == 1, name
-
-    def test_every_per_packet_update_is_in_a_timed_block(self, monkeypatch):
-        result, calls = self._run(monkeypatch, "metrics")
-        values = {
-            record["name"]: record.get("value", record.get("count"))
-            for record in result.extra["metrics"]
-        }
-        packets = (
-            values["sender/packets_sent"] + values["receiver/packets"]
-            + values["jitter/released"]
-        )
-        begins = sum(1 for call in calls if call[0] == "begin_block")
-        ends = sum(1 for call in calls if call[0] == "end_block")
-        assert begins == ends == packets
         assert result.extra["obs_overhead"]["recording_s"] > 0.0
 
     def test_window_bins_fed_only_at_trace_tier(self, monkeypatch):
@@ -413,6 +423,24 @@ class TestMetricsTierCost:
         _, traced = self._run(monkeypatch, "trace")
         assert sum(1 for call in metered if call[0] == "add") == 0
         assert sum(1 for call in traced if call[0] == "add") > 0
+
+    @pytest.mark.parametrize(
+        ("duration", "present"),
+        [
+            # Nothing sent yet: no per-packet record at all.
+            (0.02, set()),
+            # Packets sent, none delivered or released yet.
+            (0.05, {
+                "sender/packets_sent", "sender/bytes_sent",
+                "sender/queue_delay_ms",
+            }),
+        ],
+    )
+    def test_zero_counts_leave_no_record(self, duration, present):
+        config = self.CONFIG.with_overrides(duration=duration)
+        records = run_session(config, obs="metrics").extra["metrics"]
+        names = {record["name"] for record in records}
+        assert names & set(self.PER_PACKET_NAMES) == present
 
 
 class TestRecorder:
@@ -701,22 +729,22 @@ class TestRunnerPoolLifecycle:
 
 
 # ----------------------------------------------------------------------
-# vectorized fleet metrics plane
+# fleet metrics plane
 # ----------------------------------------------------------------------
-class FakeChannel:
-    """Post-tick per-member channel state the plane reads."""
-
-    def __init__(self, bps: float, share: float, sinr: float) -> None:
-        self._uplink_bps = bps
-        self._share_ul = share
-        self._sinr_db = sinr
-
-
 class FakeSample:
+    """The capacity-sample fields the plane folds."""
+
     def __init__(self, bps: float, share: float, sinr: float) -> None:
         self.uplink_bps = bps
         self.uplink_share = share
         self.sinr_db = sinr
+
+
+class FakeChannel:
+    """A member channel: only its recorded sample log is read."""
+
+    def __init__(self, samples: list[FakeSample]) -> None:
+        self.samples = samples
 
 
 TICKS = [
@@ -726,10 +754,17 @@ TICKS = [
 ]
 
 
-def _live_plane() -> FleetMetricsPlane:
+def _member_samples(ticks) -> list[list[FakeSample]]:
+    """Per-member sample logs of tick-major ``(bps, share, sinr)`` rows."""
+    return [
+        [FakeSample(*tick[member]) for tick in ticks]
+        for member in range(len(ticks[0]))
+    ]
+
+
+def _plane() -> FleetMetricsPlane:
     plane = FleetMetricsPlane(2)
-    for tick in TICKS:
-        plane.observe_channels([FakeChannel(*member) for member in tick])
+    plane.observe_samples(_member_samples(TICKS))
     return plane
 
 
@@ -739,7 +774,7 @@ class TestFleetMetricsPlane:
             FleetMetricsPlane(0)
 
     def test_snapshot_counts_and_congestion(self):
-        plane = _live_plane()
+        plane = _plane()
         snapshot = plane.snapshot()
         by_key = {
             (record["name"], record["labels"]["member"]): record
@@ -761,21 +796,13 @@ class TestFleetMetricsPlane:
     def test_share_boundary_is_strictly_below(self):
         # share == congestion_share is NOT congested (Channel uses <).
         plane = FleetMetricsPlane(1, congestion_share=0.75)
-        plane.observe_channels([FakeChannel(1e6, 0.75, 10.0)])
-        plane.observe_channels([FakeChannel(1e6, 0.7499, 10.0)])
+        plane.observe_samples(
+            _member_samples([[(1e6, 0.75, 10.0)], [(1e6, 0.7499, 10.0)]])
+        )
         (record,) = [
             r for r in plane.snapshot() if r["name"] == "fleet/congestion_time"
         ]
         assert record["value"] == pytest.approx(0.1)
-
-    def test_scalar_replay_is_bit_identical_to_live(self):
-        live = _live_plane()
-        replay = FleetMetricsPlane(2)
-        replay.observe_samples([
-            [FakeSample(*tick[member]) for tick in TICKS]
-            for member in range(2)
-        ])
-        assert replay.snapshot() == live.snapshot()
 
     def test_replay_rejects_ragged_sample_lists(self):
         plane = FleetMetricsPlane(2)
@@ -785,11 +812,29 @@ class TestFleetMetricsPlane:
                 [],
             ])
 
+    def test_rejects_a_member_count_mismatch(self):
+        plane = FleetMetricsPlane(3)
+        two = _member_samples([[(1e6, 1.0, 10.0), (2e6, 0.5, 4.0)]])
+        with pytest.raises(ValueError, match="2 member sample lists for a 3"):
+            plane.observe_samples(two)
+        with pytest.raises(ValueError, match="2 member sample lists for a 3"):
+            plane.observe_channels([FakeChannel(s) for s in two])
+        with pytest.raises(ValueError, match="4 member sample lists for a 3"):
+            plane.observe_samples(two + two)
+        assert plane.snapshot() == []
+
+    def test_channels_fold_their_recorded_samples(self):
+        folded = FleetMetricsPlane(2)
+        folded.observe_channels(
+            [FakeChannel(samples) for samples in _member_samples(TICKS)]
+        )
+        assert folded.snapshot() == _plane().snapshot()
+
     def test_bucket_attribution_matches_histogram_observe(self):
         # Values landing exactly on an edge must fall in the same
         # bucket the scalar Histogram puts them in (bisect_left).
         plane = FleetMetricsPlane(1)
-        plane.observe_channels([FakeChannel(1e6, 0.5, 0.0)])
+        plane.observe_samples(_member_samples([[(1e6, 0.5, 0.0)]]))
         registry = MetricsRegistry()
         plane.fold_into(registry)
         from repro.obs import RATE_BUCKETS
@@ -802,10 +847,9 @@ class TestFleetMetricsPlane:
     def test_fold_into_merges_order_independently(self):
         # Two planes (e.g. two fleets of a campaign) must merge into
         # one registry identically whatever the completion order.
-        a = _live_plane()
+        a = _plane()
         b = FleetMetricsPlane(2)
-        b.observe_channels([FakeChannel(2e6, 0.4, -2.0),
-                            FakeChannel(8e6, 0.9, 14.0)])
+        b.observe_samples(_member_samples([[(2e6, 0.4, -2.0), (8e6, 0.9, 14.0)]]))
         ab = MetricsRegistry()
         a.fold_into(ab)
         b.fold_into(ab)
@@ -816,7 +860,7 @@ class TestFleetMetricsPlane:
         assert ab.get("fleet/ticks", member=0).value == 4.0
 
     def test_ingestion_time_lands_in_overhead(self):
-        plane = _live_plane()
+        plane = _plane()
         assert plane.overhead_s > 0.0
 
 
