@@ -3,9 +3,9 @@
 The 64-member fleet shape is defined once, as ``DENSE_FLEET`` in
 ``tests/test_fingerprints.py``, and runs through ``run_fleet``:
 struct-of-arrays contention with the versioned allocation cache,
-member-stacked tick plans, and the shared
-:class:`~repro.cellular.batch.FleetTicker` that drives every member's
-tick from one loop event with fleet-wide A3 hints and batched
+member-stacked tick plans, and the fleet's tick batch
+(:class:`~repro.cellular.batch.FleetTickState`) that drives every
+member's tick from one loop event with fleet-wide A3 hints and batched
 interference sums.
 
 The shape is pinned, not env-scaled: load balancing is disabled

@@ -186,7 +186,9 @@ class CellContention:
     cached per UE and invalidated by a topology version that bumps on
     every attach, so the per-tick blocked query costs a dict lookup
     between handovers. ``blocked_cells`` lists cells in ascending id
-    order; consumers only mask them to ``-inf``.
+    order; consumers only mask them to ``-inf``. A separate ranking
+    version bumps only when an attach changes the offsets or the
+    at-cap set, the two things A3 ranking reads.
     """
 
     def __init__(
@@ -231,6 +233,11 @@ class CellContention:
         #: Bumped on every attach; invalidates per-UE blocked caches
         #: and per-cell member rosters.
         self._topo_version = 0
+        #: Bumped only by an attach that changes what A3 ranking reads:
+        #: an offset value (``np.array_equal``, so 0.0 and -0.0 are
+        #: equal) or the set of cells at the cap. Stamps the tick
+        #: batch's fleet-wide A3 hint.
+        self._rank_version = 0
         self._blocked_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
         #: Per-cell ``(sorted ue ids, aligned slots)`` rosters, built
         #: lazily and dropped when the cell's membership changes.
@@ -328,10 +335,12 @@ class CellContention:
         self._req_version[cell] += 1
         if count > self.peak_attached.get(cell, 0):
             self.peak_attached[cell] = count
-        self._refresh_offsets()
-        self._at_cap = np.nonzero(
+        at_cap = np.nonzero(
             self._counts >= self.config.max_sessions
         )[0].astype(np.int64)
+        if self._refresh_offsets() or not np.array_equal(at_cap, self._at_cap):
+            self._rank_version += 1
+        self._at_cap = at_cap
         self._topo_version += 1
 
     def attached_count(self, cell: int) -> int:
@@ -340,14 +349,18 @@ class CellContention:
             return 0
         return self._counts_py[cell]
 
-    def _refresh_offsets(self) -> None:
+    def _refresh_offsets(self) -> bool:
+        """Recompute the CIO vector in place; ``True`` if a value changed."""
         config = self.config
         extra = self._counts - 1
-        self._offsets[:] = np.where(
+        offsets = np.where(
             extra > 0,
             -np.minimum(config.lb_max_db, config.lb_step_db * extra),
             0.0,
         )
+        changed = not np.array_equal(offsets, self._offsets)
+        self._offsets[:] = offsets
+        return changed
 
     def _roster(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted ue ids, aligned slots)`` of one cell's members."""

@@ -13,9 +13,13 @@
    latency spikes around handovers (Fig. 8/9), and the high-altitude
    interference events behind the RTT outliers above 100 m (Fig. 13).
 
-The instantaneous capacity is exposed as plain ``rate_fn`` callables
-for :class:`repro.net.path.NetworkPath`, and 1 Hz RSSI samples are
-logged exactly as coarsely as the paper's LTE dongles reported them.
+Every channel ticks as one row of a tick batch
+(:mod:`repro.cellular.batch`), which precomputes the geometry and the
+random planes for the whole horizon and drives the rows with one loop
+event per tick. The instantaneous capacity is exposed as plain
+``rate_fn`` callables for :class:`repro.net.path.NetworkPath`, and
+1 Hz RSSI samples are logged exactly as coarsely as the paper's LTE
+dongles reported them.
 """
 
 from __future__ import annotations
@@ -58,15 +62,9 @@ UL_BUDGET_DB = 106.0
 #: Histogram buckets for the SINR metric (dB; spans outage to ideal).
 SINR_BUCKETS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0)
 
-#: Tick-count growth increment when a run outlives the precomputed
-#: geometry horizon (60 simulated seconds per extension).
-_GEO_CHUNK_TICKS = 600
-
 
 @lru_cache(maxsize=8)
-def _tick_positions(
-    traj_key: tuple, anchor: float, start_tick: int, n_ticks: int
-) -> np.ndarray:
+def _tick_positions(traj_key: tuple, anchor: float, n_ticks: int) -> np.ndarray:
     """UE positions at measurement ticks, cached per trajectory.
 
     Split out of :func:`_tick_geometry` because the trajectory is
@@ -79,7 +77,7 @@ def _tick_positions(
     trajectory = WaypointTrajectory(
         list(wp_times), [Position(x, y, alt) for x, y, alt in wp_points]
     )
-    ticks = anchor + (start_tick + np.arange(n_ticks)) * MEASUREMENT_PERIOD
+    ticks = anchor + np.arange(n_ticks) * MEASUREMENT_PERIOD
     return trajectory.positions_at(ticks)
 
 
@@ -90,12 +88,11 @@ def _tick_geometry(
     cell_key: tuple,
     prop_key: tuple,
     anchor: float,
-    start_tick: int,
     n_ticks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic per-tick, per-cell radio geometry, vectorized.
 
-    For measurement ticks ``anchor + (start_tick + k) * 0.1`` this
+    For measurement ticks ``anchor + k * 0.1`` this
     precomputes everything about the tick that does not depend on a
     random draw: the UE position along the trajectory, the 3-D path
     loss to every cell and the down-tilted antenna gain toward the UE.
@@ -115,7 +112,7 @@ def _tick_geometry(
     member.
     """
     config = PropagationConfig(*prop_key)
-    pos = _tick_positions(traj_key, anchor, start_tick, n_ticks)
+    pos = _tick_positions(traj_key, anchor, n_ticks)
     if offset != (0.0, 0.0):
         # _tick_positions rows are lru-cached and shared; copy before
         # shifting, and shift only the ground plane (altitude stays).
@@ -211,7 +208,7 @@ class CellularChannel:
     Parameters
     ----------
     loop:
-        Event loop (the channel ticks itself at 10 Hz).
+        Event loop (the channel's tick batch fires on it at 10 Hz).
     layout:
         Cell deployment to operate in.
     profile:
@@ -221,10 +218,10 @@ class CellularChannel:
     streams:
         Random-stream factory for shadowing/fading/HET draws.
     horizon:
-        Expected run duration in seconds; the deterministic per-tick
-        geometry is precomputed for the whole horizon in one
-        vectorized pass. Runs that outlive the horizon (or pass
-        ``None``) extend the precomputation in 60 s chunks.
+        Simulated time (s) the run ends at. :meth:`start` precomputes
+        the geometry and every random plane up to it in one vectorized
+        pass; ticking past it raises "tick plan exhausted". Below the
+        horizon, a run's output does not depend on it.
     contention:
         Optional shared-cell PRB scheduler
         (:class:`repro.cellular.cell.CellContention`). When given,
@@ -248,8 +245,8 @@ class CellularChannel:
         trajectory: WaypointTrajectory,
         streams: RngStreams,
         *,
+        horizon: float,
         config: ChannelConfig | None = None,
-        horizon: float | None = None,
         obs: NullRecorder = NULL_RECORDER,
         contention: CellContention | None = None,
         ue_id: int = 0,
@@ -280,27 +277,18 @@ class CellularChannel:
         self._fastfade = np.zeros(len(layout))
         self._shadow = np.zeros(len(layout))
         self._horizon = horizon
-        self._tick_index = 0
-        self._anchor = 0.0
-        self._det: np.ndarray | None = None
-        self._loss3d: np.ndarray | None = None
-        self._altitudes: np.ndarray | None = None
-        self._geo_keys: tuple | None = None
         self._uplink_bps = 1e6
         self._downlink_bps = 10e6
-        self._sinr_db = 0.0
         self._outlier_until: float | None = None
         self._post_ho_until: float | None = None
         self._paths: list[NetworkPath] = []
-        #: Fleet plan (see :meth:`install_plan`): this member's
-        #: :class:`repro.cellular.batch.TickPlan`, the shared
-        #: :class:`repro.cellular.batch.FleetTickState` and its row
-        #: there, and the shared tick driver. ``None`` means an
-        #: unplanned single UE: per-tick draws, self re-arm.
+        #: Tick batch (see :meth:`install_plan`): this row's
+        #: :class:`repro.cellular.batch.TickPlan`, the batch's shared
+        #: :class:`repro.cellular.batch.FleetTickState` and this
+        #: channel's row there.
         self._plan = None
-        self._plan_state = None
-        self._plan_row = 0
-        self._fleet_ticker = None
+        self._batch = None
+        self._row = 0
         self.samples: list[CapacitySample] = []
         self.rssi_log: list[RssiReport] = []
         self.cells_seen: set[int] = set()
@@ -347,201 +335,138 @@ class CellularChannel:
         """Instantaneous downlink capacity in bits/s."""
         return self._downlink_bps
 
-    def install_plan(self, plan, state, row: int, ticker) -> None:
-        """Enroll this channel as member ``row`` of a planned fleet.
+    def _geometry(
+        self, anchor: float, n_ticks: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rsrp_det, loss, altitudes)`` for ticks ``anchor + k * 0.1``.
+
+        See :func:`_tick_geometry`; ``k`` runs over ``range(n_ticks)``.
+        """
+        traj_key, offset = self.trajectory.geometry_key()
+        cells = tuple(
+            (c.cell_id, c.x, c.y, c.height, c.tx_power_dbm, c.downtilt_deg)
+            for c in self.layout.cells
+        )
+        return _tick_geometry(
+            traj_key,
+            offset,
+            cells,
+            dataclasses.astuple(self.config.propagation),
+            anchor,
+            n_ticks,
+        )
+
+    def install_plan(self, plan, state, row: int) -> None:
+        """Enroll this channel as row ``row`` of a tick batch.
 
         ``plan`` is a :class:`repro.cellular.batch.TickPlan` covering
         this channel's whole horizon, built with one block RNG refill
-        per stream (see :func:`repro.cellular.batch.build_tick_plans`).
-        A planned channel skips the per-tick shadowing/fast-fading/
-        measurement/fading draws in :meth:`_tick` and reads the
-        precomputed rows instead — bit-identical values, consumed from
-        the same derived streams. Ticking past the plan's horizon
-        raises (the block refills already consumed the generators, so
-        a scalar fallback could not be bit-identical).
-
-        ``state`` is the fleet's shared
-        :class:`repro.cellular.batch.FleetTickState`: the L3 filter
-        recursion and the interference powers advance once per tick
-        for the whole fleet and this member reads row ``row``.
-        ``ticker`` is the shared
-        :class:`repro.cellular.batch.FleetTicker`: after the
-        synchronous tick 0 this channel stops re-arming itself and the
-        ticker drives every member with one loop event per tick. Must
-        be installed before :meth:`start`; use
+        per stream (see :func:`repro.cellular.batch.build_tick_plans`):
+        :meth:`_tick` reads its precomputed rows instead of drawing.
+        ``state`` is the batch's shared
+        :class:`repro.cellular.batch.FleetTickState`: it advances the
+        L3 filter and the interference powers once per tick for every
+        row, publishes the A3 hints and neighbour sums, and calls each
+        row's :meth:`_tick`. Installed once, before :meth:`start`, by
         :func:`repro.cellular.batch.install_fleet_plans`.
         """
-        if self._started:
-            raise RuntimeError("cannot install a plan on a started channel")
         self._plan = plan
-        self._plan_state = state
-        self._plan_row = row
-        self._fleet_ticker = ticker
+        self._batch = state
+        self._row = row
 
     def start(self) -> None:
         """Begin the 10 Hz measurement/update loop.
 
-        A contended channel must be a planned fleet member: only the
-        planned tick ranks cells with the scheduler's load-balancing
-        offsets and admission blocks.
+        Installs a one-row tick batch over ``[now, horizon]`` unless
+        the channel already is a row of one, then runs tick 0. A
+        contended channel must be a row of its fleet's batch: only the
+        fleet's batch shares the scheduler whose load-balancing offsets
+        and admission blocks its members rank cells with.
         """
         if self._started:
             raise RuntimeError("channel already started")
-        if self._contention is not None and self._plan is None:
-            raise RuntimeError(
-                "a contended channel needs a fleet plan: call "
-                "repro.cellular.batch.install_fleet_plans before start()"
-            )
+        if self._batch is None:
+            if self._contention is not None:
+                raise RuntimeError(
+                    "a contended channel needs a fleet plan: call "
+                    "repro.cellular.batch.install_fleet_plans before start()"
+                )
+            from repro.cellular.batch import install_fleet_plans
+
+            install_fleet_plans([self], self._horizon)
         self._started = True
-        self._anchor = self._loop.now
-        self._tick()
-
-    # ------------------------------------------------------------------
-    # precomputed geometry
-    # ------------------------------------------------------------------
-    def _geometry_row(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Deterministic ``(rsrp_det, loss, altitude)`` for tick ``k``."""
-        if self._det is None or k >= len(self._det):
-            self._extend_geometry(k)
-        return self._det[k], self._loss3d[k], float(self._altitudes[k])
-
-    def _extend_geometry(self, k: int) -> None:
-        if self._geo_keys is None:
-            traj_key, offset = self.trajectory.geometry_key()
-            self._geo_keys = (
-                traj_key,
-                offset,
-                tuple(
-                    (c.cell_id, c.x, c.y, c.height, c.tx_power_dbm, c.downtilt_deg)
-                    for c in self.layout.cells
-                ),
-                dataclasses.astuple(self.config.propagation),
-            )
-        start = 0 if self._det is None else len(self._det)
-        if start == 0 and self._horizon is not None:
-            # +2: one tick at t=0 plus a guard row at the boundary.
-            n = max(int(math.ceil(self._horizon / MEASUREMENT_PERIOD)) + 2, k + 1)
-        else:
-            n = max(_GEO_CHUNK_TICKS, k + 1 - start)
-        det, loss, alts = _tick_geometry(
-            *self._geo_keys, self._anchor, start, n
-        )
-        if start == 0:
-            self._det, self._loss3d, self._altitudes = det, loss, alts
-        else:
-            self._det = np.concatenate([self._det, det])
-            self._loss3d = np.concatenate([self._loss3d, loss])
-            self._altitudes = np.concatenate([self._altitudes, alts])
+        self._batch.start_row(self._row)
 
     # ------------------------------------------------------------------
     # per-tick update
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        now = self._loop.now
+    def _tick(self, k: int, now: float) -> None:
+        """Tick ``k`` at ``now``, called by the batch.
+
+        Every random plane comes from the plan and the L3 filter, the
+        interference powers, the A3 hint and the neighbour sums from
+        the batch, which advanced them for all rows at once. The
+        outlier stream stays live: its draws are altitude-gated and
+        cannot be counted ahead of time.
+        """
         plan = self._plan
-        if plan is None:
-            # Unplanned single UE: draw every stochastic plane per tick.
-            det_row, loss_row, altitude = self._geometry_row(self._tick_index)
-            shadow = self._shadowing.sample(now, altitude)
-            frac = min(altitude / 40.0, 1.0)
-            noise_std = self.config.meas_noise_ground_db + frac * (
-                self.config.meas_noise_air_db - self.config.meas_noise_ground_db
+        batch = self._batch
+        row = self._row
+        engine = self.engine
+        contention = self._contention
+        altitude = plan.altitudes[k]
+        self._shadow = plan.shadow_db[k]
+        self._fastfade = plan.fastfade[k]
+        self._fading_db = plan.fading[k]
+        filtered = batch.f_matrix[row]
+        if batch.hint_k == k and (
+            contention is None or batch.hint_stamp == contention._rank_version
+        ):
+            # No attach changed the offsets or the at-cap set since
+            # the batch ranked every row: take its masked argmax.
+            event = engine.measure_prefiltered(
+                now,
+                filtered,
+                altitude=altitude,
+                hint=(batch.hint_best[row], batch.hint_margin[row]),
             )
-            rho = math.exp(
-                -MEASUREMENT_PERIOD / self.config.air_fastfade_corr_time
-            )
-            self._fastfade = rho * self._fastfade + math.sqrt(
-                1 - rho * rho
-            ) * self._fastfade_rng.normal(0.0, 1.0, size=self._fastfade.shape)
-            rsrp = (
-                det_row
-                + shadow
-                + self._meas_rng.normal(0.0, noise_std, size=det_row.shape)
-                + frac * self.config.air_fastfade_std_db * self._fastfade
-            )
-            event = self.engine.measure(now, rsrp, altitude=altitude)
-            self._shadow = shadow
+        elif contention is None:
+            # Tick 0, before any ranking: camp on the strongest cell.
+            event = engine.measure_prefiltered(now, filtered, altitude=altitude)
         else:
-            # Planned fleet member: every stochastic plane was
-            # precomputed by build_tick_plans with one block refill per
-            # stream, and the L3 filter and interference powers advance
-            # once per tick for the whole fleet (one matrix op each);
-            # this member only reads its rows. The outlier stream below
-            # stays live (its draws are altitude-gated and cannot be
-            # counted ahead of time).
-            k = self._tick_index
-            if k >= len(plan.rsrp):
-                raise RuntimeError(
-                    "tick plan exhausted: channel ticked past its planned "
-                    "horizon (the block refills already consumed the RNG "
-                    "streams, so a scalar fallback cannot be bit-identical)"
-                )
-            altitude = plan.altitudes[k]
-            loss_row = plan.loss[k]
-            self._shadow = plan.shadow_db[k]
-            self._fastfade = plan.fastfade[k]
-            self._fading_db = plan.fading[k]
-            state = self._plan_state
-            state.advance(k)
-            ticker = self._fleet_ticker
-            row = self._plan_row
-            if (
-                ticker.hint_k == k
-                and ticker.hint_topo == self._contention._topo_version
-            ):
-                # The fleet-wide masked argmax from this tick's
-                # precompute is still valid (nobody attached since);
-                # skip the per-member ranking entirely.
-                event = self.engine.measure_prefiltered(
-                    now,
-                    state.f_matrix[row],
-                    altitude=altitude,
-                    hint=(
-                        int(ticker.hint_best[row]),
-                        float(ticker.hint_margin[row]),
-                    ),
-                )
-            else:
-                event = self.engine.measure_prefiltered(
-                    now,
-                    state.f_matrix[row],
-                    altitude=altitude,
-                    offsets=self._contention.offsets(),
-                    blocked=self._contention.blocked_cells(self._ue_id),
-                )
+            event = engine.measure_prefiltered(
+                now,
+                filtered,
+                altitude=altitude,
+                offsets=contention.offsets(),
+                blocked=contention.blocked_cells(self._ue_id),
+            )
         if event is not None:
-            self._begin_outage(event.execution_time)
-        self.cells_seen.add(self.engine.serving_cell)
-        if plan is None:
-            self._update_fading(altitude)
+            self._begin_outage(now, event.execution_time)
+        sc = engine.serving_cell
+        self.cells_seen.add(sc)
         self._update_outliers(now, altitude)
-        if plan is None:
-            uplink, downlink, sinr = self._capacity(now, altitude, loss_row)
+        # Neighbour interference: the batch summed every row's
+        # neighbour powers for the serving cells the tick started
+        # with; tick 0 and a row that just handed over sum their own
+        # (value-identical: same values, same order).
+        if k and batch.tick_serving[row] == sc:
+            others_sum = batch.others_mw[row]
         else:
-            # Neighbour interference from the hoisted power matrix: a
-            # slice-based others-sum replacing np.delete + np.power per
-            # member (value-identical; same pattern as run_lockstep).
-            # The ticker precomputes the sums fleet-wide; a member
-            # whose serving cell moved this tick recomputes its own.
-            sc = self.engine.serving_cell
-            if ticker.sums_k == k and ticker.tick_serving[row] == sc:
-                others_sum = float(ticker.others_mw[row])
-            else:
-                prow = state.powered[row]
-                others = np.empty(len(prow) - 1)
-                others[:sc] = prow[:sc]
-                others[sc:] = prow[sc + 1:]
-                others_sum = float(others.sum())
-            serving_mw = 10.0 ** (float(self.engine._filtered[sc]) / 10.0)
-            ratio = INTERFERENCE_LOAD * others_sum / max(serving_mw, 1e-30)
-            uplink, downlink, sinr = self._capacity(
-                now, altitude, loss_row, interference_ratio=ratio
-            )
+            prow = batch.powered[row]
+            others = np.empty(len(prow) - 1)
+            others[:sc] = prow[:sc]
+            others[sc:] = prow[sc + 1:]
+            others_sum = float(others.sum())
+        serving_rsrp = float(filtered[sc])
+        ratio = INTERFERENCE_LOAD * others_sum / max(
+            10.0 ** (serving_rsrp / 10.0), 1e-30
+        )
+        uplink, downlink, sinr = self._capacity(now, altitude, plan.loss[k], ratio)
+        if contention is not None:
             uplink, downlink = self._contend(now, uplink, downlink)
         self._uplink_bps = uplink
         self._downlink_bps = downlink
-        self._sinr_db = sinr
-        serving_rsrp = self.engine.serving_rsrp()
         if self.obs.enabled:
             self.obs.gauge("channel/uplink_bps", uplink)
             self.obs.gauge("channel/downlink_bps", downlink)
@@ -549,52 +474,35 @@ class CellularChannel:
             self.capacity_dip.update(now, uplink)
         self.samples.append(
             CapacitySample(
-                time=now,
-                uplink_bps=uplink,
-                downlink_bps=downlink,
-                serving_cell=self.engine.serving_cell,
-                rsrp_dbm=serving_rsrp,
-                sinr_db=sinr,
-                altitude=altitude,
-                in_handover=self.engine.in_handover,
-                uplink_share=self._share_ul,
+                now,
+                uplink,
+                downlink,
+                sc,
+                serving_rsrp,
+                sinr,
+                altitude,
+                engine._in_handover_until is not None,
+                self._share_ul,
             )
         )
         if now - self._last_rssi_time >= 1.0:
             self._last_rssi_time = now
-            self.rssi_log.append(
-                RssiReport(
-                    time=now,
-                    rssi_dbm=serving_rsrp,
-                    cell_id=self.engine.serving_cell,
-                )
-            )
-        self._tick_index += 1
-        if plan is not None:
-            # The shared FleetTicker drives all subsequent ticks with
-            # one loop event for the whole fleet; the last member's
-            # synchronous tick 0 arms it.
-            if self._tick_index == 1:
-                self._fleet_ticker.notify_started(self._anchor)
-            return
-        # Anchored re-arm (cf. PeriodicTimer): tick k fires at exactly
-        # anchor + k * period, so tick times line up with the
-        # precomputed geometry rows and never accumulate float drift.
-        self._loop.schedule_at(
-            self._anchor + self._tick_index * MEASUREMENT_PERIOD, self._tick
-        )
+            self.rssi_log.append(RssiReport(now, serving_rsrp, sc))
 
-    def _begin_outage(self, het: float) -> None:
+    def _begin_outage(self, now: float, het: float) -> None:
         if self.config.make_before_break:
             # DAPS: both protocol stacks stay active through the
             # handover; the execution gap does not interrupt the link.
             return
-        for path in self._paths:
+        paths = self._paths
+        for path in paths:
             path.set_up(False)
-        self._post_ho_until = self._loop.now + het + self.config.post_handover_ramp
+        self._post_ho_until = now + het + self.config.post_handover_ramp
 
+        # Closes over the path list, not the channel: a restore still
+        # pending at the horizon must not keep a finished run alive.
         def back_up() -> None:
-            for path in self._paths:
+            for path in paths:
                 path.set_up(True)
 
         self._loop.call_later(het, back_up)
@@ -656,17 +564,6 @@ class CellularChannel:
         if self._congestion_t0 is not None:
             self._close_congestion(now)
 
-    def _update_fading(self, altitude: float) -> None:
-        rho = math.exp(-MEASUREMENT_PERIOD / self.config.fading_corr_time)
-        frac = min(altitude / 40.0, 1.0)
-        std = self.config.fading_std_ground_db + frac * (
-            self.config.fading_std_air_db - self.config.fading_std_ground_db
-        )
-        noise = float(self._fading_rng.normal(0.0, 1.0))
-        self._fading_db = rho * self._fading_db + math.sqrt(1 - rho * rho) * (
-            noise * std
-        )
-
     def _update_outliers(self, now: float, altitude: float) -> None:
         if self._outlier_until is not None and now >= self._outlier_until:
             self._outlier_until = None
@@ -693,19 +590,14 @@ class CellularChannel:
         now: float,
         altitude: float,
         loss_row: np.ndarray,
-        interference_ratio: float | None = None,
+        interference_ratio: float,
     ) -> tuple[float, float, float]:
         """Per-tick capacity from the serving cell's link quality.
 
-        ``interference_ratio`` lets the batched executor pass a
-        neighbour-interference ratio computed once for a whole seed
-        batch (value-identical to the per-call computation below,
-        gated by the fingerprint suite); scalar callers leave it
-        ``None``.
+        ``interference_ratio`` is the neighbour-interference power over
+        the serving cell's (times :data:`INTERFERENCE_LOAD`), from the
+        L3-filtered RSRP the tick batch powered for every row at once.
         """
-        filtered = self.engine.filtered_rsrp
-        if filtered is None:
-            return self._uplink_bps, self._downlink_bps, 0.0
         serving = self.engine.serving_cell
         # Uplink budget: the BS receive antenna is wide in the uplink,
         # so the uplink SNR follows the 3-D path loss to the serving
@@ -734,12 +626,6 @@ class CellularChannel:
         # received nearly as strongly as the serving one, raising the
         # effective interference floor; on the ground the serving cell
         # dominates and the rise is negligible.
-        if interference_ratio is None:
-            serving_mw = 10.0 ** (float(filtered[serving]) / 10.0)
-            others_mw = np.power(10.0, np.delete(filtered, serving) / 10.0)
-            interference_ratio = INTERFERENCE_LOAD * float(np.sum(others_mw)) / max(
-                serving_mw, 1e-30
-            )
         sinr_lin = 10.0 ** (snr_db / 10.0) / (1.0 + interference_ratio)
         sinr_db_eff = 10.0 * math.log10(max(sinr_lin, 1e-6))
         uplink = (

@@ -19,6 +19,7 @@ logs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,12 +134,6 @@ class HandoverEngine:
         """Whether a handover execution is currently in progress."""
         return self._in_handover_until is not None
 
-    def serving_rsrp(self) -> float:
-        """Filtered RSRP of the serving cell."""
-        if self._filtered is None:
-            return float("-inf")
-        return float(self._filtered[self.serving_cell])
-
     def a3_pending(self) -> bool:
         """Whether the A3 condition is currently building toward TTT."""
         return self._a3_since is not None
@@ -166,25 +161,19 @@ class HandoverEngine:
     def measure(
         self, now: float, rsrp: np.ndarray, *, altitude: float = 0.0
     ) -> HandoverEvent | None:
-        """Process one RSRP measurement; maybe trigger a handover.
+        """Process one raw RSRP measurement; maybe trigger a handover.
 
-        The uncontended single-UE step. Fleet members rank cells under
-        load-balancing offsets and admission blocks through
-        :meth:`measure_prefiltered` instead.
+        Applies the L3 filter to ``rsrp`` and hands the filtered vector
+        to :meth:`measure_prefiltered`, ranking cells without offsets.
+        The channel's tick batch filters every row at once and calls
+        :meth:`measure_prefiltered` directly.
         """
         if self._filtered is None:
-            self._filtered = rsrp.astype(float).copy()
-            self.serving_cell = int(np.argmax(self._filtered))
-            return None
-        alpha = self.config.l3_filter_alpha
-        self._filtered = (1 - alpha) * self._filtered + alpha * rsrp
-        if self._gate(now):
-            return None
-        neighbours = self._filtered.copy()
-        neighbours[self.serving_cell] = -np.inf
-        best = int(np.argmax(neighbours))
-        margin = neighbours[best] - self._filtered[self.serving_cell]
-        return self._evaluate(now, best, float(margin), altitude)
+            filtered = rsrp.astype(float)
+        else:
+            alpha = self.config.l3_filter_alpha
+            filtered = (1 - alpha) * self._filtered + alpha * rsrp
+        return self.measure_prefiltered(now, filtered, altitude=altitude)
 
     def measure_prefiltered(
         self,
@@ -196,30 +185,31 @@ class HandoverEngine:
         blocked: tuple[int, ...] = (),
         hint: tuple[int, float] | None = None,
     ) -> HandoverEvent | None:
-        """A fleet member's A3 step, with the L3 filter already applied.
+        """One A3 step, with the L3 filter already applied.
 
-        A fleet advances the EWMA filter for *all* members in one
-        ``(n_members, n_cells)`` matrix op per tick (see
+        A tick batch advances the EWMA filter for *all* its rows in one
+        ``(n_rows, n_cells)`` matrix op per tick (see
         :class:`repro.cellular.batch.FleetTickState`) and hands each
         engine its row here; the matrix recursion is
         elementwise-identical to :meth:`measure`'s per-UE one.
         ``offsets`` is the per-cell load-balancing bias in dB (the
         cell-individual offsets of
         :class:`repro.cellular.cell.CellContention`) added to the
-        filtered RSRP on both sides of the A3 margin; ``blocked``
-        lists cells that must not be selected (admission control).
-        Everything after the filter update (first-measurement camping,
-        the gate, the CIO-biased neighbour ranking, the A3 state
-        machine) is evaluated per member against live contention
-        state, since offsets and admission blocks mutate *within* a
-        tick as earlier members attach.
+        filtered RSRP on both sides of the A3 margin, or ``None`` to
+        rank without offsets; ``blocked`` lists cells that must not be
+        selected (admission control). Everything after the filter
+        update (first-measurement camping, the gate, the neighbour
+        ranking, the A3 state machine) runs per engine against live
+        contention state, since offsets and admission blocks mutate
+        *within* a tick as earlier fleet members attach.
 
         ``hint`` short-circuits the neighbour ranking with a
-        ``(best, margin)`` pair the fleet ticker precomputed for the
-        whole fleet in one masked argmax — valid only while no member
-        has attached since the precompute (the caller checks the
-        contention topology version) and no cell is blocked, in which
-        case it is value-identical to the per-member ranking below.
+        ``(best, margin)`` pair the tick batch precomputed for all its
+        rows in one masked argmax. It is value-identical to the ranking
+        below while nothing the ranking reads has changed since the
+        precompute: always for an uncontended row, and for a fleet
+        member while the scheduler's ranking version still matches the
+        hint's stamp.
         """
         if self._filtered is None:
             self._filtered = filtered
@@ -231,14 +221,16 @@ class HandoverEngine:
         if hint is not None:
             best, margin = hint
             return self._evaluate(now, best, margin, altitude)
-        neighbours = filtered + offsets
-        serving_score = (
-            filtered[self.serving_cell] + offsets[self.serving_cell]
-        )
-        if blocked:
-            for cell in blocked:
-                neighbours[cell] = -np.inf
-        neighbours[self.serving_cell] = -np.inf
+        serving = self.serving_cell
+        if offsets is None:
+            neighbours = filtered.copy()
+            serving_score = filtered[serving]
+        else:
+            neighbours = filtered + offsets
+            serving_score = filtered[serving] + offsets[serving]
+        for cell in blocked:
+            neighbours[cell] = -np.inf
+        neighbours[serving] = -np.inf
         best = int(np.argmax(neighbours))
         margin = neighbours[best] - serving_score
         return self._evaluate(now, best, float(margin), altitude)
@@ -247,10 +239,9 @@ class HandoverEngine:
         """Advance the execution/prohibit windows; ``True`` = no A3
         evaluation this tick.
 
-        Shared between :meth:`measure` and the batched lockstep
-        executor (:mod:`repro.cellular.batch`), which computes the
-        neighbour margins for a whole seed batch in one vectorized
-        pass and must skip exactly the ticks the scalar path skips.
+        :meth:`measure_prefiltered` runs it before it ranks cells or
+        takes a hint, so a hinted tick skips exactly the ticks an
+        unhinted one skips.
         """
         if self._in_handover_until is not None:
             if now >= self._in_handover_until:
@@ -271,11 +262,12 @@ class HandoverEngine:
         """A3 hysteresis/TTT state machine on a precomputed margin.
 
         ``best``/``margin`` must be the strongest-neighbour index and
-        its dB margin over the serving score, computed exactly as
-        :meth:`measure` does (the batched executor reproduces that
-        computation row-wise over its stacked filtered-RSRP matrix).
+        its dB margin (a Python float) over the serving score, computed
+        exactly as :meth:`measure_prefiltered` does (the tick batch
+        reproduces that computation row-wise over its stacked
+        filtered-RSRP matrix).
         """
-        if not np.isfinite(margin):
+        if not math.isfinite(margin):
             # Every neighbour blocked (or single-cell layout): stay.
             self._a3_candidate = None
             self._a3_since = None

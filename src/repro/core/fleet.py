@@ -172,13 +172,15 @@ def run_fleet(
     """Execute one fleet run and collect every session's dataset.
 
     All sessions share a single event loop, the base seed's cell
-    layout, and one :class:`CellContention`. A fleet runs one engine:
+    layout, and one :class:`CellContention`. The fleet is one tick
+    batch with a row per member:
     :func:`~repro.cellular.batch.install_fleet_plans` stacks every
     member's whole-horizon tick plan (one block RNG refill per
     stream, translated-trajectory geometry shared through the
-    base-position cache) and one shared
-    :class:`~repro.cellular.batch.FleetTicker` drives all members'
-    ticks. Ring members fly
+    base-position cache) and the batch's
+    :class:`~repro.cellular.batch.FleetTickState` drives all members'
+    ticks with one loop event per tick, the same code a single
+    session's one-row batch uses. Ring members fly
     :class:`~repro.flight.trajectory.TranslatedTrajectory` copies of
     the base route (the translation applies after interpolation) and
     member 0 flies the unmodified route, so an N=1 fleet stays

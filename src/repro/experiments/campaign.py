@@ -21,7 +21,9 @@ count.
 
 Campaign-owned runners additionally execute each scenario's seed sweep
 as one struct-of-arrays batch (:mod:`repro.runner.batch`): channel
-probes run through the lockstep batched kernel and sessions share one
+probes run as one tick batch with a row per seed
+(:mod:`repro.cellular.batch`, the one tick path every channel takes)
+and sessions share one
 :class:`~repro.util.rng.SweepDrawPlan` refill per stream. Batched
 results are packet-for-packet identical to scalar execution (pinned by
 ``tests/test_fingerprints.py``), and non-batchable units — ping

@@ -67,57 +67,42 @@ def channel_probe_seed(config: ScenarioConfig) -> ChannelProbeSeed:
     """Run the cellular channel alone (no video) for one seed.
 
     ``config`` must already carry the run's seed and duration (use
-    :meth:`ScenarioConfig.with_overrides`).
+    :meth:`ScenarioConfig.with_overrides`). A batch of one row.
     """
-    loop = EventLoop()
-    streams = RngStreams(config.seed)
-    channel = _build_channel(config, loop, streams)
-    channel.start()
-    loop.run_until(config.duration)
-    return ChannelProbeSeed(
-        handovers=list(channel.engine.events),
-        uplink_samples=[sample.uplink_bps for sample in channel.samples],
-        altitudes=[sample.altitude for sample in channel.samples],
-        cells_seen=len(channel.cells_seen),
-        ping_pong=channel.engine.ping_pong_count(),
-    )
+    return channel_probe_batch([config])[0]
 
 
 def channel_probe_batch(
     configs: "list[ScenarioConfig]",
 ) -> list[ChannelProbeSeed]:
-    """Run a whole channel-probe seed sweep as one lockstep batch.
+    """Run a channel-probe seed sweep as one tick batch.
 
     ``configs`` must differ only in their seed (the batch planner
-    groups work units that way). Results are bit-identical to running
-    :func:`channel_probe_seed` per config — verified by the
-    fingerprint suite — at a fraction of the per-tick Python cost:
+    groups work units that way). One row per seed on one event loop:
     the stochastic planes are precomputed struct-of-arrays across
     seeds and only the branchy A3/capacity state machines run per
-    seed (see :mod:`repro.cellular.batch`).
+    row (see :mod:`repro.cellular.batch`). Each row's result is
+    bit-identical to running it alone, which the fingerprint suite
+    checks.
     """
     from repro.cellular.batch import run_lockstep
 
+    loop = EventLoop()
     channels = [
-        _build_channel(config, EventLoop(), RngStreams(config.seed))
+        _build_channel(config, loop, RngStreams(config.seed))
         for config in configs
     ]
     uplinks = run_lockstep(channels, configs[0].duration)
-    results = []
-    for channel, uplink_samples in zip(channels, uplinks):
-        results.append(
-            ChannelProbeSeed(
-                handovers=list(channel.engine.events),
-                uplink_samples=uplink_samples,
-                altitudes=[
-                    float(alt)
-                    for alt in channel._altitudes[: len(uplink_samples)]
-                ],
-                cells_seen=len(channel.cells_seen),
-                ping_pong=channel.engine.ping_pong_count(),
-            )
+    return [
+        ChannelProbeSeed(
+            handovers=list(channel.engine.events),
+            uplink_samples=uplink_samples,
+            altitudes=[sample.altitude for sample in channel.samples],
+            cells_seen=len(channel.cells_seen),
+            ping_pong=channel.engine.ping_pong_count(),
         )
-    return results
+        for channel, uplink_samples in zip(channels, uplinks)
+    ]
 
 
 class _PingProbe:

@@ -426,6 +426,7 @@ class TestCellularChannel:
                 if environment == "urban"
                 else PropagationConfig.rural()
             ),
+            horizon=300.0,
         )
         return loop, channel
 

@@ -33,7 +33,8 @@ def build_channel(trajectory, *, environment="urban", seed=6, config=None):
         else PropagationConfig.rural()
     )
     channel = CellularChannel(
-        loop, layout, profile, trajectory, streams.child("ch"), config=channel_config
+        loop, layout, profile, trajectory, streams.child("ch"),
+        config=channel_config, horizon=400.0,
     )
     return loop, channel
 

@@ -18,7 +18,7 @@ def probe(env, plat, operator="P1", seeds=(1,2,3,4,5), duration=360.0):
         profile = get_profile(operator, cfg.environment.value)
         layout = profile.build_layout(streams.derive("layout"))
         traj = build_trajectory(cfg, streams)
-        ch = CellularChannel(loop, layout, profile, traj, streams.child("channel"), config=build_channel_config(cfg))
+        ch = CellularChannel(loop, layout, profile, traj, streams.child("channel"), config=build_channel_config(cfg), horizon=duration)
         ch.start()
         loop.run_until(duration)
         hos.append(len(ch.engine.events)/duration)
