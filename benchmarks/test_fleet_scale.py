@@ -2,11 +2,11 @@
 
 The 64-member fleet shape is defined once, as ``DENSE_FLEET`` in
 ``tests/test_fingerprints.py``, and runs through ``run_fleet``:
-struct-of-arrays contention with the versioned allocation cache,
-member-stacked tick plans, and the fleet's tick batch
-(:class:`~repro.cellular.batch.FleetTickState`) that drives every
-member's tick from one loop event with fleet-wide A3 hints and batched
-interference sums.
+member-stacked tick plans and the fleet's tick batch
+(:class:`~repro.cellular.batch.FleetTickState`), whose tick kernel
+moves every member through a tick in four passes — A3 only where its
+gate is open, capacity as one array pass, PRB shares re-split only at
+the cells where a request changed or a member moved.
 
 The shape is pinned, not env-scaled: load balancing is disabled
 (``lb_step_db=0``) so members pile onto the strongest cells and stay

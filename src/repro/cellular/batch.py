@@ -1,4 +1,4 @@
-"""One tick batch for every cellular channel.
+"""One tick kernel for every cellular channel.
 
 Every :class:`~repro.cellular.channel.CellularChannel` ticks as a row
 of a batch, ticked by one shared :class:`FleetTickState`:
@@ -12,50 +12,81 @@ of a batch, ticked by one shared :class:`FleetTickState`:
   (:func:`run_lockstep`).
 
 :func:`build_tick_plans` precomputes, for the whole horizon, every
-plane the tick would otherwise draw per tick — shadowing dB offsets,
-aerial fast fading, scalar fading and the assembled per-cell RSRP —
-with the AR recursions stacked over ``(n_rows, n_cells)`` matrices and
-one block RNG refill per (row, stream). The batch then fires one loop
-event per tick. It advances the L3 filter and the neighbour powers for
-all rows in one matrix op each, publishes each row's serving cell,
-neighbour-interference sum and A3 ranking hint, and calls each row's
-``_tick`` in row order. Everything branchy and stateful (A3
-hysteresis/TTT, HET draws, prohibit timers, outlier episodes, pre/
-post-handover windows, PRB contention) stays per row.
+plane the tick would otherwise draw per tick, stacked over the rows:
+the raw per-cell RSRP the L3 filter reads and the per-cell uplink SNR
+the capacity reads at the serving cell (path loss, shadowing, scalar
+fading and aerial fast fading folded in at install), with the AR
+recursions stacked over ``(n_rows, n_cells)`` matrices and one block
+RNG refill per (row, stream). The batch then fires one loop event per
+tick and moves all its rows through it in four passes:
 
-Hints and their stamps
-----------------------
-The published sums and ranking are exact for a row only while what
-they read is unchanged. A row whose serving cell moved during its own
-tick sums its own neighbours. An uncontended row always takes the
-hint: nothing but its own tick moves its serving cell. A fleet
-member takes it only while the scheduler's ranking version equals the
-hint's stamp — an attach that changed the load-balancing offsets or
-the set of cells at the admission cap bumps it, and later members in
-that tick rank against the live scheduler instead. While any cell sits
-at the cap the batch publishes no hint, since admission blocks differ
-per member.
+1. **A3.** The L3 filter and neighbour powers advance for all rows in
+   one matrix op each, and one masked argmax ranks every row's best
+   neighbour (the *hint*). One loop over the rows then calls the A3
+   state machine only where it can act: a row inside its handover or
+   prohibit window is gated (:meth:`HandoverEngine._gate`, called only
+   while a window is armed), and a row whose margin is at or below the
+   hysteresis with no candidate pending would only clear an already
+   clear candidate, so it is skipped. A row without a valid hint — its
+   first tick, any tick with a cell at the admission cap, and every
+   row after an earlier row's move bumped the scheduler's ranking
+   version — ranks live, as a lone engine would. A row that moves runs
+   the ranking half of its attach here (:meth:`CellContention.count_move`),
+   since later rows' live ranking reads it. The outlier stream draws
+   only where the UE is above the outlier altitude or an episode is
+   open. The only event a tick pushes, a handover's path restore,
+   is pushed here in row order.
+2. **Capacity.** One gather of the SNR plane and the filtered RSRP at
+   every row's serving cell, one gather-sum of the neighbour powers for
+   the serving cells after pass 1, and the libm transcendentals per
+   element; the pre-/post-handover and outlier factors multiply only
+   the rows that have one.
+3. **Shares** (fleets). Every row's PRB requests in one array op; only
+   the cells where a request changed or a member moved are re-split,
+   walking those rows in row order
+   (:meth:`CellContention.tick_shares`).
+4. **Output.** Each row's rates, :class:`CapacitySample`, 1 Hz
+   :class:`RssiReport`, congestion time and spans, and — when its
+   recorder is enabled — its gauges and histograms, in row order.
+
+Tick 0 runs row by row from ``CellularChannel.start`` (see
+:meth:`FleetTickState.start_row`), the kernel over one row each: a
+fleet member's first attach must precede the next member's initial
+cell selection, exactly as when each member started alone.
+
+Within one tick, a row's A3 step and its share both see the other
+rows in row order: rows before it have handed over and attached, rows
+after it have not. Trace records of different rows within one tick
+come grouped by pass (A3 and outlier records of all rows, then the
+congestion and capacity-dip spans of all rows); each row's own
+records keep their order, and metrics are unaffected.
 
 End of the horizon
 ------------------
 The plans cover exactly the ticks ``run_until(horizon)`` fires
 (:func:`probe_tick_times`). After its last planned tick the batch
-drops its rows and, instead of re-arming, schedules a module-level
-tripwire at the next tick time: a run that goes on past its horizon
-fails with "tick plan exhausted" (the block refills already consumed
-the streams, so no row can draw on), and a finished batch holds no
-reference to a channel, so it is freed by reference counting.
+drops its rows and every plane and, instead of re-arming, schedules a
+module-level tripwire at the next tick time: a run that goes on past
+its horizon fails with "tick plan exhausted" (the block refills
+already consumed the streams, so no row can draw on), a finished batch
+holds no reference to a channel, and no channel holds a plane, so a
+finished run's planes are freed by reference counting even while its
+channel sits in the session's reference cycles.
 
 Bit-identity contract
 ---------------------
 Every draw comes from the same derived stream in the same order as a
 per-tick draw would (block draws consume ``numpy`` bit generators
 exactly like the equivalent scalar calls — the RNG-stability tests pin
-this), and every floating-point expression replicates the per-row
-evaluation order operation for operation. The spots where the batch
-computes a value by a different-but-IEEE-equal route (elementwise ops
-hoisted across a matrix, the gathered neighbour sums) are guarded by
-the golden digests of ``tests/test_fingerprints.py``.
+this). Every floating-point expression keeps the association of the
+per-row scalar formula it replaces; only elementwise ``+ - * /``,
+``minimum``/``maximum`` on finite values and ``ceil`` run as numpy
+array ops, which round exactly like Python floats. ``10.0 ** x``,
+``math.log10`` and ``math.log2`` stay per-element libm calls: numpy's
+SIMD kernels for them differ from libm in the last ulp on some inputs
+and hosts. Records hold Python scalars only (``.tolist()``), never a
+numpy scalar. The golden digests of ``tests/test_fingerprints.py``
+guard all of it.
 """
 
 from __future__ import annotations
@@ -66,7 +97,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cellular.channel import MEASUREMENT_PERIOD, CellularChannel
+from repro.cellular.channel import (
+    EFFECTIVE_UL_BANDWIDTH,
+    INTERFERENCE_LOAD,
+    MEASUREMENT_PERIOD,
+    SINR_BUCKETS,
+    UL_BUDGET_DB,
+    CapacitySample,
+    CellularChannel,
+    RssiReport,
+)
 from repro.util.rng import BatchedUniform
 
 
@@ -91,50 +131,47 @@ def probe_tick_times(duration: float, anchor: float) -> list[float]:
 
 @dataclass(slots=True)
 class TickPlan:
-    """Precomputed per-tick planes for one row of a batch.
+    """Whole-horizon planes of one batch, stacked over its rows.
 
-    ``shadow_db``/``fastfade`` are ``(n_ticks, n_cells)`` views into
-    the batch-stacked planes, ``fading`` is a list of Python floats,
-    ``altitudes`` are the per-tick UE altitudes as Python floats and
-    ``loss`` is the row's ``(n_ticks, n_cells)`` 3-D path loss. The
-    assembled RSRP lives in the batch's stacked plane, which the L3
-    filter reads once per tick for all rows.
+    ``rsrp`` is the raw per-cell RSRP (dBm) the L3 filter reads and
+    ``snr_db`` the per-cell uplink SNR (dB) the capacity reads at the
+    serving cell, both ``(n_rows, n_ticks, n_cells)``;
+    ``altitudes[k]`` lists every row's UE altitude at tick ``k`` as
+    Python floats.
     """
 
-    shadow_db: np.ndarray
-    fastfade: np.ndarray
-    fading: list[float]
-    altitudes: list[float]
-    loss: np.ndarray
+    rsrp: np.ndarray
+    snr_db: np.ndarray
+    altitudes: list[list[float]]
 
 
 def build_tick_plans(
     channels: Sequence[CellularChannel], times: Sequence[float]
-) -> tuple[list[TickPlan], np.ndarray]:
+) -> TickPlan:
     """Precompute the whole-horizon planes for a batch's rows.
 
-    All channels must share the layout size and one
-    :class:`~repro.cellular.channel.ChannelConfig` (equal by value):
-    the AR, noise and fading constants are read once for the batch.
-    The AR recursions run over ``(n_rows, n_cells)`` state matrices —
-    one numpy op per tick for the whole batch instead of one per row —
-    and each stream is refilled with a single block draw covering
-    every tick, consuming the per-row generators in exactly the
-    per-tick order.
-
-    Returns the per-row plans plus the batch-stacked
-    ``(n_rows, n_ticks, n_cells)`` RSRP plane.
+    All channels must share the layout size, one
+    :class:`~repro.cellular.channel.ChannelConfig` and one operator
+    profile (equal by value): the AR, noise, fading and capacity
+    constants are read once for the batch. The AR recursions run over
+    ``(n_rows, n_cells)`` state matrices — one numpy op per tick for
+    the whole batch instead of one per row — and each stream is
+    refilled with a single block draw covering every tick, consuming
+    the per-row generators in exactly the per-tick order.
     """
     n = len(times)
     n_seeds = len(channels)
     n_cells = len(channels[0].layout)
     cfg = channels[0].config
+    profile = channels[0].profile
     prop = cfg.propagation
     for ch in channels:
         if len(ch.layout) != n_cells:
             raise ValueError("batched channels must share the layout size")
         if ch.config != cfg:
             raise ValueError("batched channels must share one ChannelConfig")
+        if ch.profile != profile:
+            raise ValueError("batched channels must share one OperatorProfile")
 
     # Geometry for the whole horizon (the shared positions cache makes
     # this cheap for fixed-trajectory air sweeps).
@@ -208,7 +245,11 @@ def build_tick_plans(
         meas_noise[s] = ch._meas_rng.normal(0.0, 1.0, size=(n, n_cells))
     rsrp += meas_std[:, :, None] * meas_noise
     del meas_noise
-    rsrp += (frac40 * cfg.air_fastfade_std_db)[:, :, None] * fastfade
+    # (alt_frac * std) * fastfade: one plane for the RSRP here and the
+    # uplink SNR below, where the serving cell's aerial fast fading
+    # makes capacity dip *before* the A3 event fires (Fig. 8/9).
+    fastfade *= (frac40 * cfg.air_fastfade_std_db)[:, :, None]
+    rsrp += fastfade
 
     # --- scalar fading: AR(1) with altitude-scaled innovation -------
     rho_f = math.exp(-MEASUREMENT_PERIOD / cfg.fading_corr_time)
@@ -225,30 +266,30 @@ def build_tick_plans(
         fstate = rho_f * fstate + c_f * (fading_noise[:, t] * fading_std[:, t])
         fading[:, t] = fstate
 
-    plans = [
-        TickPlan(
-            shadow_db=shadow_db[s],
-            fastfade=fastfade[s],
-            fading=fading[s].tolist(),
-            altitudes=alts[s].tolist(),
-            loss=losses[s],
-        )
-        for s in range(n_seeds)
-    ]
-    return plans, rsrp
+    # --- uplink SNR at every cell, in the scalar formula's order ----
+    # (((UL - loss) + 0.5 * shadow) + fading) + (alt_frac * std) * ff,
+    # in the shadowing plane's buffer (a + b == b + a exactly): the
+    # uplink follows the 3-D path loss to the serving site (the BS
+    # receive antenna is wide in the uplink), not the down-tilted
+    # pattern that drives handovers.
+    snr_db = shadow_db
+    snr_db *= 0.5
+    for s, loss in enumerate(losses):
+        snr_db[s] += UL_BUDGET_DB - loss
+    snr_db += fading[:, :, None]
+    snr_db += fastfade
+    return TickPlan(rsrp=rsrp, snr_db=snr_db, altitudes=alts.T.tolist())
 
 
 class FleetTickState:
-    """What ticks one batch: shared state plus one loop event per tick.
+    """What ticks one batch: its planes, its rows and one loop event per tick.
 
-    Holds the batch-wide planes the rows read — the L3-filtered RSRP
-    matrix ``f_matrix`` and its powers, which :meth:`advance` moves one
-    tick at a time (the filter recursion is elementwise, so the matrix
-    update equals the per-row updates row for row) — and the per-tick
-    lists it publishes (see the module docstring): the serving cells
-    the tick started with, each row's neighbour-interference sum and,
-    when valid, its A3 ``(best, margin)`` hint. Rows index those
-    Python lists; they never see a numpy scalar.
+    Holds the :class:`TickPlan` and the batch-wide planes the kernel
+    reads — the L3-filtered RSRP matrix ``f_matrix`` and its powers,
+    which :meth:`advance` moves one tick at a time (the filter
+    recursion is elementwise, so the matrix update equals the per-row
+    updates row for row) — and runs the tick kernel (see the module
+    docstring) over its rows.
 
     Tick 0 runs row by row from ``CellularChannel.start`` (see
     :meth:`start_row`); the last row to start arms tick 1. Each later
@@ -262,36 +303,43 @@ class FleetTickState:
     """
 
     __slots__ = (
-        "_rows", "_loop", "_contention", "_times", "_alpha", "_pending",
-        "_row_ids", "_cols", "rsrp_planes", "f_matrix", "powered", "_k",
-        "tick_serving", "others_mw", "hint_k", "hint_stamp", "hint_best",
-        "hint_margin",
+        "_rows", "_loop", "_contention", "_times", "_pending", "_ids",
+        "_id_column", "_slots", "_slot_ids", "_nbr", "_alpha", "_hysteresis",
+        "_config", "_profile", "plan", "f_matrix", "powered", "_k",
     )
 
     def __init__(
         self,
         channels: Sequence[CellularChannel],
-        rsrp_planes: np.ndarray,
+        plan: TickPlan,
         times: list[float],
     ) -> None:
+        first = channels[0]
+        n_cells = len(first.layout)
         self._rows = list(channels)
-        self._loop = channels[0]._loop
-        self._contention = channels[0]._contention
+        self._loop = first._loop
+        self._contention = contention = first._contention
         self._times = times
-        self._alpha = channels[0].config.a3.l3_filter_alpha
         self._pending = len(channels)
-        self._row_ids = np.arange(len(channels))
-        self._cols = np.arange(len(channels[0].layout) - 1)
-        self.rsrp_planes = rsrp_planes
+        self._ids = np.arange(len(channels))
+        self._id_column = self._ids[:, None]
+        if contention is not None:
+            self._slots = [contention._slots[ch._ue_id] for ch in channels]
+            self._slot_ids = np.array(self._slots)
+        #: ``_nbr[c]``: every cell but ``c``, in column order — the
+        #: neighbours whose powers interfere with serving cell ``c``.
+        self._nbr = np.array(
+            [[c for c in range(n_cells) if c != s] for s in range(n_cells)],
+            dtype=np.intp,
+        ).reshape(n_cells, n_cells - 1)
+        self._config = first.config
+        self._profile = first.profile
+        self._alpha = first.config.a3.l3_filter_alpha
+        self._hysteresis = first.config.a3.hysteresis_db
+        self.plan: TickPlan | None = plan
         self.f_matrix: np.ndarray | None = None
         self.powered: np.ndarray | None = None
         self._k = -1
-        self.tick_serving: list[int] | None = None
-        self.others_mw: list[float] | None = None
-        self.hint_k = -1
-        self.hint_stamp = -1
-        self.hint_best: list[int] | None = None
-        self.hint_margin: list[float] | None = None
 
     def advance(self, k: int) -> None:
         """Advance the filter and power planes to tick ``k`` (idempotent)."""
@@ -301,15 +349,14 @@ class FleetTickState:
             raise RuntimeError(
                 f"batch ticks must advance in lockstep: {self._k} -> {k}"
             )
+        rsrp = self.plan.rsrp
         if self.f_matrix is None:
             # First measurement: the filter initializes to the raw
             # RSRP (scalar: ``rsrp.astype(float)``).
-            self.f_matrix = self.rsrp_planes[:, 0, :].copy()
+            self.f_matrix = rsrp[:, 0, :].copy()
         else:
             alpha = self._alpha
-            self.f_matrix = (
-                (1 - alpha) * self.f_matrix + alpha * self.rsrp_planes[:, k, :]
-            )
+            self.f_matrix = (1 - alpha) * self.f_matrix + alpha * rsrp[:, k, :]
         self.powered = np.power(10.0, self.f_matrix / 10.0)
         self._k = k
 
@@ -321,8 +368,7 @@ class FleetTickState:
                 "a channel must start at the time its tick plan was "
                 f"installed ({now}), not at {self._loop.now}"
             )
-        self.advance(0)
-        self._rows[row]._tick(0, now)
+        self._tick(0, row, row + 1)
         self._pending -= 1
         if self._pending == 0:
             self._arm(1)
@@ -332,51 +378,243 @@ class FleetTickState:
         if k < len(times):
             self._loop.schedule_at(times[k], self._fire)
             return
-        # Past the last planned tick: release the rows and the planes,
-        # and leave a tripwire that holds neither.
+        # Past the last planned tick: release the rows and every
+        # plane, and leave a tripwire that holds neither.
         self._rows = []
-        self.rsrp_planes = None
+        self.plan = None
+        self.f_matrix = None
+        self.powered = None
         self._loop.schedule_at(times[0] + k * MEASUREMENT_PERIOD, _plan_exhausted)
 
     def _fire(self) -> None:
         k = self._k + 1
-        self.advance(k)
-        rows = self._rows
-        row_ids = self._row_ids
-        serving = [ch.engine.serving_cell for ch in rows]
-        serving_ids = np.array(serving)
-        # Neighbour-interference sums: drop each row's serving column
-        # with one fancy gather and reduce along the row — the same
-        # pairwise kernel over the same values in the same order as a
-        # row's own slice-based sum, so the results are value-identical.
-        cols = self._cols
-        gathered = self.powered[
-            row_ids[:, None], cols + (cols >= serving_ids[:, None])
-        ]
-        self.others_mw = gathered.sum(axis=1).tolist()
-        self.tick_serving = serving
-        contention = self._contention
-        if contention is None:
-            neighbours = self.f_matrix.copy()
-        elif contention._at_cap.size == 0:
-            neighbours = self.f_matrix + contention.offsets()
-            self.hint_stamp = contention._rank_version
-        else:
-            neighbours = None
-        if neighbours is not None:
-            # Mask each row's serving cell and argmax once. Row-wise
-            # this is exactly the per-row ``filtered + offsets``
-            # ranking (the serving score is the same two-operand add).
-            scores = neighbours[row_ids, serving_ids]
-            neighbours[row_ids, serving_ids] = -np.inf
-            best = neighbours.argmax(axis=1)
-            self.hint_margin = (neighbours[row_ids, best] - scores).tolist()
-            self.hint_best = best.tolist()
-            self.hint_k = k
-        now = self._times[k]
-        for ch in rows:
-            ch._tick(k, now)
+        self._tick(k, 0, len(self._ids))
         self._arm(k + 1)
+
+    def _tick(self, k: int, lo: int, hi: int) -> None:
+        """Move rows ``lo`` to ``hi - 1`` through tick ``k``.
+
+        Tick 0 runs one row at a time; every later tick runs all rows.
+        Per-row lists below are indexed by position ``row - lo``.
+        """
+        self.advance(k)
+        now = self._times[k]
+        f = self.f_matrix
+        chans = self._rows[lo:hi]
+        ids = self._ids[lo:hi]
+        altitudes = self.plan.altitudes[k][lo:hi]
+        contention = self._contention
+        config = self._config
+
+        # --- pass 1: A3 ---------------------------------------------
+        hinted = False
+        if k:
+            serving = [ch.engine.serving_cell for ch in chans]
+            if contention is None:
+                scores = f.copy()
+            elif contention._at_cap.size == 0:
+                scores = f + contention.offsets()
+                stamp = contention._rank_version
+            else:
+                # Admission blocks differ per member: everyone ranks live.
+                scores = None
+            if scores is not None:
+                # Mask each row's serving cell and argmax once. Row-wise
+                # this is exactly the per-engine ``filtered + offsets``
+                # ranking (the serving score is the same two-operand add).
+                start = np.array(serving)
+                own = scores[ids, start]
+                scores[ids, start] = -np.inf
+                best = scores.argmax(axis=1)
+                margins = (scores[ids, best] - own).tolist()
+                bests = best.tolist()
+                hinted = True
+        else:
+            serving = [-1] * (hi - lo)
+        hysteresis = self._hysteresis
+        outlier_altitude = config.outlier_altitude
+        moved: list[int] = []
+        factors: dict[int, list[float]] = {}
+        for pos, (ch, altitude) in enumerate(zip(chans, altitudes)):
+            engine = ch.engine
+            if not hinted:
+                if contention is None:
+                    event = engine.measure_prefiltered(
+                        now, f[lo + pos], altitude=altitude
+                    )
+                else:
+                    event = engine.measure_prefiltered(
+                        now,
+                        f[lo + pos],
+                        altitude=altitude,
+                        offsets=contention.offsets(),
+                        blocked=contention.blocked_cells(ch._ue_id),
+                    )
+            elif (
+                engine._in_handover_until is not None
+                or engine._last_handover is not None
+            ) and engine._gate(now):
+                event = None
+            elif engine._a3_candidate is None and margins[pos] <= hysteresis:
+                event = None
+            else:
+                event = engine.measure_prefiltered(
+                    now,
+                    f[lo + pos],
+                    altitude=altitude,
+                    hint=(bests[pos], margins[pos]),
+                )
+            if event is not None or not k:
+                cell = engine.serving_cell
+                serving[pos] = cell
+                ch.cells_seen.add(cell)
+                moved.append(pos)
+                if event is not None:
+                    ch._begin_outage(now, event.execution_time)
+                if contention is not None:
+                    contention.count_move(
+                        contention._cells[self._slots[lo + pos]], cell
+                    )
+                    if hinted and contention._rank_version != stamp:
+                        hinted = False
+            if ch._outlier_until is not None or altitude - outlier_altitude > 0:
+                ch._update_outliers(now, altitude)
+            if (
+                engine._a3_since is not None
+                or ch._post_ho_until is not None
+                or ch._outlier_until is not None
+            ):
+                factors[pos] = _capacity_factors(ch, now)
+
+        # --- pass 2: capacity ---------------------------------------
+        # ``b if b > a else a`` is ``max(a, b)`` and ``b if b < a else
+        # a`` is ``min(a, b)``, value for value, without a call.
+        cells = np.array(serving)
+        snr_10 = (self.plan.snr_db[ids, k, cells] / 10.0).tolist()
+        rsrp_row = f[ids, cells]
+        rsrp = rsrp_row.tolist()
+        rsrp_10 = (rsrp_row / 10.0).tolist()
+        # Neighbour interference over the serving cell's power: in the
+        # air many neighbours are received nearly as strongly as the
+        # serving cell, raising the effective interference floor.
+        load = (
+            INTERFERENCE_LOAD
+            * self.powered[self._id_column[lo:hi], self._nbr[cells]].sum(axis=1)
+        ).tolist()
+        profile = self._profile
+        scale = profile.capacity_scale
+        ul_cap = profile.uplink_plan_cap
+        dl_cap = profile.downlink_plan_cap
+        sinr_db: list[float] = []
+        uplink: list[float] = []
+        downlink: list[float] = []
+        for pos, (s, r, o) in enumerate(zip(snr_10, rsrp_10, load)):
+            power = 10.0 ** r
+            sinr_lin = 10.0 ** s / (1.0 + o / (1e-30 if 1e-30 > power else power))
+            sinr_db.append(
+                10.0 * math.log10(1e-6 if 1e-6 > sinr_lin else sinr_lin)
+            )
+            up = EFFECTIVE_UL_BANDWIDTH * math.log2(1.0 + sinr_lin) * scale
+            if ul_cap < up:
+                up = ul_cap
+            down = 6.0 * up
+            if dl_cap < down:
+                down = dl_cap
+            if pos in factors:
+                for factor in factors[pos]:
+                    up *= factor
+                    down *= factor
+            uplink.append(1e4 if 1e4 > up else up)
+            downlink.append(1e4 if 1e4 > down else down)
+
+        # --- pass 3: shares -----------------------------------------
+        if contention is not None:
+            share_ul, share_dl = contention.tick_shares(
+                self._slots[lo:hi],
+                self._slot_ids[lo:hi],
+                serving,
+                moved,
+                uplink,
+                downlink,
+            )
+            congestion_share = contention.config.congestion_share
+
+        # --- pass 4: output -----------------------------------------
+        share = 1.0
+        for pos, ch in enumerate(chans):
+            up = uplink[pos]
+            down = downlink[pos]
+            if contention is not None:
+                share = share_ul[pos]
+                if share != 1.0:
+                    up *= share
+                    if 1e4 > up:
+                        up = 1e4
+                share_down = share_dl[pos]
+                if share_down != 1.0:
+                    down *= share_down
+                    if 1e4 > down:
+                        down = 1e4
+                if share < congestion_share:
+                    ch.congestion_time += MEASUREMENT_PERIOD
+                    if ch._congestion_t0 is None:
+                        ch._congestion_t0 = now
+                        ch._congestion_min = share
+                    elif share < ch._congestion_min:
+                        ch._congestion_min = share
+                elif ch._congestion_t0 is not None:
+                    ch._close_congestion(now)
+            ch._uplink_bps = up
+            ch._downlink_bps = down
+            obs = ch.obs
+            if obs.enabled:
+                obs.gauge("channel/uplink_bps", up)
+                obs.gauge("channel/downlink_bps", down)
+                obs.observe("channel/sinr_db", sinr_db[pos], buckets=SINR_BUCKETS)
+                ch.capacity_dip.update(now, up)
+            cell = serving[pos]
+            ch.samples.append(
+                CapacitySample(
+                    now,
+                    up,
+                    down,
+                    cell,
+                    rsrp[pos],
+                    sinr_db[pos],
+                    altitudes[pos],
+                    ch.engine._in_handover_until is not None,
+                    share,
+                )
+            )
+            if now - ch._last_rssi_time >= 1.0:
+                ch._last_rssi_time = now
+                ch.rssi_log.append(RssiReport(now, rsrp[pos], cell))
+
+
+def _capacity_factors(ch: CellularChannel, now: float) -> list[float]:
+    """The capacity multipliers a row's tick applies, in order.
+
+    Applied one by one to both directions, after the plan caps and
+    before the 10 kbps floor. Ends an elapsed post-handover window.
+    """
+    config = ch.config
+    factors = []
+    # The radio link about to hand over is already poor while the A3
+    # timer runs (interference from the overtaking cell).
+    since = ch.engine._a3_since
+    if since is not None:
+        age = max(0.0, now - since)
+        if age > 0.0:
+            depth = min(age / config.a3.time_to_trigger, 1.0)
+            factors.append(1.0 - (1.0 - config.pre_handover_factor) * depth)
+    if ch._post_ho_until is not None:
+        if now < ch._post_ho_until:
+            factors.append(config.post_handover_factor)
+        else:
+            ch._post_ho_until = None
+    if ch._outlier_until is not None:
+        factors.append(config.outlier_capacity_factor)
+    return factors
 
 
 def _plan_exhausted() -> None:
@@ -419,10 +657,10 @@ def install_fleet_plans(
     times = probe_tick_times(duration, loop.now)
     if not times:
         raise ValueError(f"horizon {duration} ends before {loop.now}")
-    plans, rsrp_planes = build_tick_plans(channels, times)
-    state = FleetTickState(channels, rsrp_planes, times)
-    for row, (ch, plan) in enumerate(zip(channels, plans)):
-        ch.install_plan(plan, state, row)
+    state = FleetTickState(channels, build_tick_plans(channels, times), times)
+    for row, ch in enumerate(channels):
+        ch._batch = state
+        ch._row = row
         ch._outlier_rng = BatchedUniform(ch._outlier_rng)
     return state
 

@@ -28,20 +28,23 @@ pure function of the attach/update call sequence, which the shared
 event loop orders deterministically.
 
 :class:`CellContention` is the one implementation, a struct-of-arrays
-scheduler: per-UE radio state lives in flat lists and numpy arrays,
-membership is an ``(n_ues, n_cells)`` boolean plane, PRB requests
-(and their per-cell sums) are maintained incrementally, and the
-per-tick share query answers from a per-cell allocation cache that
-reruns :func:`allocate_prbs_array` (the array-wise twin of
-:func:`allocate_prbs`) only when a member's request or the
-membership changed. The golden fleet digests in
+scheduler: per-UE state lives in flat lists and numpy arrays, each
+cell keeps a roster of its members, and every member's PRB share is
+kept current by re-running :func:`allocate_prbs_array` (the
+array-wise twin of :func:`allocate_prbs`) on a cell only when its
+membership or a member's request changed. A fleet's tick batch moves
+all its members through one tick with :meth:`CellContention.tick_shares`;
+the per-UE ``attach``/``update_rates``/``shares`` calls are its
+reference. The golden fleet digests in
 ``tests/golden/fingerprints.json`` pin its output.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -158,37 +161,61 @@ def _request_prbs(demand_bps: float, unc_bps: float, budget: int) -> int:
     return max(1, min(budget, needed))
 
 
+def request_prbs_array(
+    demand_bps: np.ndarray, unc_bps: np.ndarray, budget
+) -> np.ndarray:
+    """Array-wise :func:`_request_prbs`, equal element for element.
+
+    ``budget`` broadcasts against the rate arrays (a column of per-
+    direction budgets for ``(2, n)`` inputs). The quotient is the same
+    two correctly rounded operations as the scalar one and ``np.ceil``
+    is exact, so the requests agree wherever the scalar is defined.
+    """
+    full = np.isnan(demand_bps) | (unc_bps <= 0.0)
+    needed = np.ceil(demand_bps * budget / np.where(full, 1.0, unc_bps))
+    clamped = np.maximum(np.minimum(needed, budget), 1)
+    return np.where(full, budget, clamped).astype(np.int64)
+
+
+@lru_cache(maxsize=1024)
+def _split(requests: tuple[int, ...], budget: int) -> tuple[float, ...]:
+    """Each requester's share of ``budget`` (:func:`allocate_prbs_array`).
+
+    Memoized: a cell's request vector keeps returning to the same few
+    states (a full-buffer direction's only changes with the member
+    count), and the split is a pure function of it.
+    """
+    allocation = allocate_prbs_array(np.array(requests), budget).tolist()
+    return tuple([prbs / budget for prbs in allocation])
+
+
 class CellContention:
     """Shared-cell PRB scheduler, admission gate and CIO source.
 
     One instance is shared by every :class:`CellularChannel` of a
-    fleet. Channels ``register`` once, ``attach`` whenever their
-    serving cell changes, ``update_rates`` each measurement tick, and
-    read back their PRB ``shares``; the handover engine consumes
-    :meth:`offsets` (load-balancing CIO added to the A3 margin) and
-    :meth:`blocked_cells` (admission control).
+    fleet. Per UE, ``register`` once, ``attach`` whenever the serving
+    cell changes, ``update_rates`` each measurement tick and read back
+    the PRB ``shares``; the handover engine consumes :meth:`offsets`
+    (load-balancing CIO added to the A3 margin) and
+    :meth:`blocked_cells` (admission control). A fleet's tick batch
+    does the same for all its rows at once through :meth:`count_move`
+    and :meth:`tick_shares`, with the per-UE calls as the reference
+    the batch is tested against.
 
     Struct-of-arrays layout: every registered UE owns a slot in flat
-    per-UE state (serving cell, uncontended rates, demands, current
-    PRB requests), membership is an ``(n_ues, n_cells)`` boolean plane
-    with per-cell occupancy counts, the load-balancing offsets refresh
-    as one vectorized expression, and :meth:`shares` answers from a
-    per-cell allocation cache keyed by a request version: the full
-    largest-remainder allocation (:func:`allocate_prbs_array`) is
-    recomputed only when a member's request or the membership actually
-    changes, and every co-member's query in between is a dict lookup
-    plus one indexed division. PRB requests and their per-cell sums
-    are maintained *incrementally* — each :meth:`update_rates`
-    rewrites only that UE's request (and bumps the cell's request
-    version only when the request moved): when UE ``i`` asks for its
-    share mid-tick, co-members that already ticked contribute fresh
-    requests and the rest contribute last tick's. Admission blocks are
-    cached per UE and invalidated by a topology version that bumps on
-    every attach, so the per-tick blocked query costs a dict lookup
-    between handovers. ``blocked_cells`` lists cells in ascending id
-    order; consumers only mask them to ``-inf``. A separate ranking
-    version bumps only when an attach changes the offsets or the
-    at-cap set, the two things A3 ranking reads.
+    per-slot state (serving cell, demands, PRB requests, granted
+    shares); each cell keeps a roster of its members' slots in UE-id
+    order and per-cell occupancy counts; the load-balancing offsets
+    refresh as one vectorized expression. Shares are kept current:
+    whenever a cell's membership or a member's request changes, that
+    cell's budget is re-split (:func:`allocate_prbs_array`) and every
+    member's share rewritten, so a share query is one list lookup.
+    Admission blocks are cached per UE and invalidated by a topology
+    version that bumps on every membership change. ``blocked_cells``
+    lists cells in ascending id order; consumers only mask them to
+    ``-inf``. A separate ranking version bumps only when a move
+    changes the offsets or the at-cap set, the two things A3 ranking
+    reads.
     """
 
     def __init__(
@@ -200,77 +227,44 @@ class CellContention:
         self.num_cells = num_cells
         self._slots: dict[int, int] = {}
         self._ids: list[int] = []
-        cap = 16
-        # Scalar per-UE state lives in plain Python lists (read and
-        # written one UE at a time — numpy scalar indexing would cost
-        # more than it saves); only the state the hot share query
-        # *gathers across members* is a numpy array.
+        # Scalar per-slot state lives in plain Python lists (read and
+        # written one UE at a time); the demands and requests the tick
+        # batch gathers across rows are also kept as ``(2, cap)``
+        # arrays (rows: UL, DL).
         self._cells: list[int] = []  #: serving cell per slot (-1 = none)
-        self._unc_ul: list[float] = []
-        self._unc_dl: list[float] = []
         self._dem_ul: list[float] = []  #: NaN = full-buffer
         self._dem_dl: list[float] = []
-        #: Current PRB requests, ``(cap, 2)`` int64 (columns: UL, DL) —
-        #: the share query fancy-indexes member rows in one gather —
-        #: plus Python mirrors for the incremental bookkeeping.
-        self._req = np.zeros((cap, 2), dtype=np.int64)
-        self._req_ul_py: list[int] = []
-        self._req_dl_py: list[int] = []
-        self._budgets = np.array(
-            [self.config.num_prb_ul, self.config.num_prb_dl], dtype=np.int64
-        )
-        self._member = np.zeros((cap, num_cells), dtype=bool)
+        self._dem = np.zeros((2, 16))
+        self._req = np.zeros((2, 16), dtype=np.int64)
+        self._req_ul: list[int] = []
+        self._req_dl: list[int] = []
+        self._share_ul: list[float] = []
+        self._share_dl: list[float] = []
+        self._budget_ul = self.config.num_prb_ul
+        self._budget_dl = self.config.num_prb_dl
+        self._budgets = np.array([[self._budget_ul], [self._budget_dl]])
         self._counts = np.zeros(num_cells, dtype=np.int64)
         self._counts_py: list[int] = [0] * num_cells
-        #: Per-cell sums of the attached members' PRB requests,
-        #: maintained incrementally (plain Python ints — the hot
-        #: :meth:`shares` path reads them without a numpy reduction).
-        self._sum_ul: list[int] = [0] * num_cells
-        self._sum_dl: list[int] = [0] * num_cells
+        #: Member slots of each cell, ascending by UE id.
+        self._rosters: list[list[int]] = [[] for _ in range(num_cells)]
         self._offsets = np.zeros(num_cells)
         #: Cells currently at the admission cap (ascending cell ids).
         self._at_cap: np.ndarray = np.zeros(0, dtype=np.int64)
-        #: Bumped on every attach; invalidates per-UE blocked caches
-        #: and per-cell member rosters.
+        #: Bumped on every membership change; invalidates the per-UE
+        #: blocked caches.
         self._topo_version = 0
-        #: Bumped only by an attach that changes what A3 ranking reads:
+        #: Bumped only by a move that changes what A3 ranking reads:
         #: an offset value (``np.array_equal``, so 0.0 and -0.0 are
         #: equal) or the set of cells at the cap. Stamps the tick
         #: batch's fleet-wide A3 hint.
         self._rank_version = 0
         self._blocked_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
-        #: Per-cell ``(sorted ue ids, aligned slots)`` rosters, built
-        #: lazily and dropped when the cell's membership changes.
-        self._rosters: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: Per-UE ``(topo version, member slots, own index)`` resolved
-        #: roster positions — between handovers the share query skips
-        #: the roster lookup and binary search entirely.
-        self._share_cache: dict[int, tuple[int, np.ndarray, int]] = {}
-        #: Per-cell request-state version: bumped whenever a member's
-        #: PRB request or the cell's membership changes. Shares are a
-        #: pure function of the member requests, so the per-cell
-        #: allocation cache below stays valid while the version holds.
-        self._req_version: list[int] = [0] * num_cells
-        #: Per-cell ``(request version, ul alloc, dl alloc)`` in roster
-        #: order (plain lists — the hit path indexes one element) —
-        #: one largest-remainder run serves every co-member's share
-        #: query until a request actually changes.
-        self._alloc_cache: dict[int, tuple[int, list[int], list[int]]] = {}
         #: Highest concurrent attachment count ever seen per cell.
         self.peak_attached: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def _grow(self) -> None:
-        cap = len(self._req) * 2
-        grown_member = np.zeros((cap, self.num_cells), dtype=bool)
-        grown_member[: len(self._member)] = self._member
-        self._member = grown_member
-        grown_req = np.zeros((cap, 2), dtype=np.int64)
-        grown_req[: len(self._req)] = self._req
-        self._req = grown_req
-
     def register(
         self,
         ue_id: int,
@@ -286,25 +280,24 @@ class CellContention:
         if ue_id in self._slots:
             raise ValueError(f"ue {ue_id} already registered")
         slot = len(self._ids)
-        if slot >= len(self._req):
-            self._grow()
+        if slot >= self._req.shape[1]:
+            self._dem = np.concatenate([self._dem, np.zeros_like(self._dem)], 1)
+            self._req = np.concatenate([self._req, np.zeros_like(self._req)], 1)
+        dem_ul = math.nan if demand_ul_bps is None else demand_ul_bps
+        dem_dl = math.nan if demand_dl_bps is None else demand_dl_bps
         self._slots[ue_id] = slot
         self._ids.append(ue_id)
         self._cells.append(-1)
-        self._unc_ul.append(0.0)
-        self._unc_dl.append(0.0)
-        self._dem_ul.append(
-            math.nan if demand_ul_bps is None else demand_ul_bps
-        )
-        self._dem_dl.append(
-            math.nan if demand_dl_bps is None else demand_dl_bps
-        )
+        self._dem_ul.append(dem_ul)
+        self._dem_dl.append(dem_dl)
+        self._dem[:, slot] = (dem_ul, dem_dl)
         # Uncontended rate starts at 0 -> full-budget requests until
-        # the first update_rates.
-        self._req[slot, 0] = self.config.num_prb_ul
-        self._req[slot, 1] = self.config.num_prb_dl
-        self._req_ul_py.append(self.config.num_prb_ul)
-        self._req_dl_py.append(self.config.num_prb_dl)
+        # the first rate update.
+        self._req[:, slot] = (self._budget_ul, self._budget_dl)
+        self._req_ul.append(self._budget_ul)
+        self._req_dl.append(self._budget_dl)
+        self._share_ul.append(1.0)
+        self._share_dl.append(1.0)
 
     def attach(self, ue_id: int, cell: int) -> None:
         """Move ``ue_id`` onto ``cell`` (no-op if already attached)."""
@@ -314,33 +307,45 @@ class CellContention:
             return
         if not 0 <= cell < self.num_cells:
             raise ValueError(f"cell {cell} out of range")
-        req_ul = self._req_ul_py[slot]
-        req_dl = self._req_dl_py[slot]
+        self.count_move(old, cell)
+        self._member_move(slot, cell)
         if old >= 0:
-            self._member[slot, old] = False
-            self._counts[old] -= 1
+            self._reallocate(old, True, True)
+        self._reallocate(cell, True, True)
+
+    def count_move(self, old: int, cell: int) -> None:
+        """The ranking half of a move from ``old`` (-1: none) to ``cell``.
+
+        Updates what A3 ranking and admission read — occupancy counts,
+        peaks, offsets, the at-cap set and the ranking version — but
+        not the membership the shares are split over
+        (:meth:`_member_move`). :meth:`attach` runs both halves; a tick
+        batch runs this one at the row's A3 step, so later rows rank
+        against it, and the other at the row's turn in
+        :meth:`tick_shares`.
+        """
+        counts = self._counts
+        if old >= 0:
+            counts[old] -= 1
             self._counts_py[old] -= 1
-            self._sum_ul[old] -= req_ul
-            self._sum_dl[old] -= req_dl
-            self._rosters.pop(old, None)
-            self._req_version[old] += 1
-        self._cells[slot] = cell
-        self._member[slot, cell] = True
-        self._counts[cell] += 1
+        counts[cell] += 1
         count = self._counts_py[cell] + 1
         self._counts_py[cell] = count
-        self._sum_ul[cell] += req_ul
-        self._sum_dl[cell] += req_dl
-        self._rosters.pop(cell, None)
-        self._req_version[cell] += 1
         if count > self.peak_attached.get(cell, 0):
             self.peak_attached[cell] = count
-        at_cap = np.nonzero(
-            self._counts >= self.config.max_sessions
-        )[0].astype(np.int64)
+        at_cap = np.flatnonzero(counts >= self.config.max_sessions)
         if self._refresh_offsets() or not np.array_equal(at_cap, self._at_cap):
             self._rank_version += 1
         self._at_cap = at_cap
+        self._topo_version += 1
+
+    def _member_move(self, slot: int, cell: int) -> None:
+        """The membership half of a move: rosters and the slot's cell."""
+        old = self._cells[slot]
+        if old >= 0:
+            self._rosters[old].remove(slot)
+        self._cells[slot] = cell
+        bisect.insort(self._rosters[cell], slot, key=self._ids.__getitem__)
         self._topo_version += 1
 
     def attached_count(self, cell: int) -> int:
@@ -362,21 +367,6 @@ class CellContention:
         self._offsets[:] = offsets
         return changed
 
-    def _roster(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted ue ids, aligned slots)`` of one cell's members."""
-        roster = self._rosters.get(cell)
-        if roster is None:
-            slots = np.nonzero(self._member[:, cell])[0]
-            ids = np.fromiter(
-                (self._ids[s] for s in slots),
-                dtype=np.int64,
-                count=len(slots),
-            )
-            order = np.argsort(ids, kind="stable")
-            roster = (ids[order], slots[order])
-            self._rosters[cell] = roster
-        return roster
-
     # ------------------------------------------------------------------
     # handover inputs
     # ------------------------------------------------------------------
@@ -394,8 +384,8 @@ class CellContention:
 
         A cell is blocked when it is at ``max_sessions`` and the UE is
         not one of them; the UE's own serving cell is never blocked.
-        The result is constant between attaches, so it is cached per
-        UE against the topology version.
+        The result is constant between moves, so it is cached per UE
+        against the topology version.
         """
         if self._at_cap.size == 0:
             return ()
@@ -418,34 +408,51 @@ class CellContention:
     ) -> None:
         """Report a session's uncontended (full-budget) link rates.
 
-        Also refreshes this UE's PRB requests in place — the request
-        planes are therefore always current *for the UEs that already
-        ticked*, which is the mid-tick state a ``shares`` query must
-        see.
+        Re-sizes this UE's PRB requests and, when one moved, re-splits
+        its cell: co-members that already reported this tick hold
+        fresh requests and the rest last tick's, which is the mid-tick
+        state a ``shares`` query must see.
         """
         slot = self._slots[ue_id]
-        self._unc_ul[slot] = unc_ul_bps
-        self._unc_dl[slot] = unc_dl_bps
-        config = self.config
-        req_ul = _request_prbs(
-            self._dem_ul[slot], unc_ul_bps, config.num_prb_ul
-        )
-        req_dl = _request_prbs(
-            self._dem_dl[slot], unc_dl_bps, config.num_prb_dl
-        )
-        old_ul = self._req_ul_py[slot]
-        old_dl = self._req_dl_py[slot]
-        if req_ul == old_ul and req_dl == old_dl:
+        req_ul = _request_prbs(self._dem_ul[slot], unc_ul_bps, self._budget_ul)
+        req_dl = _request_prbs(self._dem_dl[slot], unc_dl_bps, self._budget_dl)
+        ul = req_ul != self._req_ul[slot]
+        dl = req_dl != self._req_dl[slot]
+        if ul or dl:
+            self._set_request(slot, req_ul, req_dl)
+            if self._cells[slot] >= 0:
+                self._reallocate(self._cells[slot], ul, dl)
+
+    def _set_request(self, slot: int, req_ul: int, req_dl: int) -> None:
+        self._req_ul[slot] = req_ul
+        self._req_dl[slot] = req_dl
+        self._req[:, slot] = (req_ul, req_dl)
+
+    def _reallocate(self, cell: int, ul: bool, dl: bool) -> None:
+        """Re-split ``cell``'s budgets over its members' current requests.
+
+        A sole occupant is granted exactly ``1.0`` in both directions
+        (bit-identity with the uncontended path).
+        """
+        roster = self._rosters[cell]
+        if len(roster) == 1:
+            self._share_ul[roster[0]] = 1.0
+            self._share_dl[roster[0]] = 1.0
             return
-        cell = self._cells[slot]
-        if cell >= 0:
-            self._sum_ul[cell] += req_ul - old_ul
-            self._sum_dl[cell] += req_dl - old_dl
-            self._req_version[cell] += 1
-        self._req_ul_py[slot] = req_ul
-        self._req_dl_py[slot] = req_dl
-        self._req[slot, 0] = req_ul
-        self._req[slot, 1] = req_dl
+        if not roster:
+            return
+        if ul:
+            requests = self._req_ul
+            shares = self._share_ul
+            split = _split(tuple([requests[s] for s in roster]), self._budget_ul)
+            for slot, share in zip(roster, split):
+                shares[slot] = share
+        if dl:
+            requests = self._req_dl
+            shares = self._share_dl
+            split = _split(tuple([requests[s] for s in roster]), self._budget_dl)
+            for slot, share in zip(roster, split):
+                shares[slot] = share
 
     def shares(self, ue_id: int) -> tuple[float, float]:
         """Current (uplink, downlink) PRB share of ``ue_id`` in [0, 1].
@@ -455,40 +462,70 @@ class CellContention:
         split each budget proportionally to their PRB requests.
         """
         slot = self._slots[ue_id]
-        cell = self._cells[slot]
-        if cell < 0:
+        if self._cells[slot] < 0:
             return 1.0, 1.0
-        if self._counts_py[cell] == 1:
-            return 1.0, 1.0
-        cached = self._share_cache.get(slot)
-        if cached is None or cached[0] != self._topo_version:
-            ids, member_slots = self._roster(cell)
-            cached = (
-                self._topo_version,
-                member_slots,
-                int(np.searchsorted(ids, ue_id)),
-            )
-            self._share_cache[slot] = cached
-        version = self._req_version[cell]
-        alloc = self._alloc_cache.get(cell)
-        config = self.config
-        if alloc is None or alloc[0] != version:
-            requests = self._req[cached[1]]
-            alloc = (
-                version,
-                allocate_prbs_array(
-                    requests[:, 0], config.num_prb_ul
-                ).tolist(),
-                allocate_prbs_array(
-                    requests[:, 1], config.num_prb_dl
-                ).tolist(),
-            )
-            self._alloc_cache[cell] = alloc
-        index = cached[2]
-        return (
-            alloc[1][index] / config.num_prb_ul,
-            alloc[2][index] / config.num_prb_dl,
+        return self._share_ul[slot], self._share_dl[slot]
+
+    def tick_shares(
+        self,
+        slots: list[int],
+        slot_ids: np.ndarray,
+        cells: list[int],
+        moved: list[int],
+        unc_ul: list[float],
+        unc_dl: list[float],
+    ) -> tuple[list[float], list[float]]:
+        """One tick's PRB shares for a batch's rows, in row order.
+
+        Row ``i`` (slot ``slots[i]``, also as the array ``slot_ids``)
+        serves from ``cells[i]`` at uncontended rates ``unc_ul[i]`` /
+        ``unc_dl[i]``; ``moved`` lists the rows whose serving cell
+        changed this tick, whose ranking half (:meth:`count_move`)
+        already ran. Every row's requests come from one array op, and
+        only a row whose request changed or that moved alters its
+        cells: the batch walks those change points in row order, so
+        row ``i`` sees this tick's requests for rows before it, last
+        tick's for rows after it, and the memberships of rows up to
+        it — exactly what ``attach`` → ``update_rates`` → ``shares``
+        called row by row grant.
+        """
+        req = request_prbs_array(
+            self._dem[:, slot_ids], np.array((unc_ul, unc_dl)), self._budgets
         )
+        changed = req != self._req[:, slot_ids]
+        touched = changed[0] | changed[1]
+        if moved:
+            touched[moved] = True
+        share_ul = self._share_ul
+        share_dl = self._share_dl
+        if not touched.any():
+            return [share_ul[s] for s in slots], [share_dl[s] for s in slots]
+        req_ul, req_dl = req.tolist()
+        out_ul: list[float] = []
+        out_dl: list[float] = []
+        start = 0
+        for row in np.flatnonzero(touched).tolist():
+            segment = slots[start:row]
+            out_ul += [share_ul[s] for s in segment]
+            out_dl += [share_dl[s] for s in segment]
+            start = row
+            slot = slots[row]
+            cell = cells[row]
+            old = self._cells[slot]
+            ul = req_ul[row] != self._req_ul[slot]
+            dl = req_dl[row] != self._req_dl[slot]
+            if ul or dl:
+                self._set_request(slot, req_ul[row], req_dl[row])
+            if old != cell:
+                self._member_move(slot, cell)
+                if old >= 0:
+                    self._reallocate(old, True, True)
+                ul = dl = True
+            self._reallocate(cell, ul, dl)
+        segment = slots[start:]
+        out_ul += [share_ul[s] for s in segment]
+        out_dl += [share_dl[s] for s in segment]
+        return out_ul, out_dl
 
     # ------------------------------------------------------------------
     # reporting
@@ -502,9 +539,8 @@ class CellContention:
         """
         if not 0 <= cell < self.num_cells or self._counts_py[cell] == 0:
             return 0.0
-        budget = self.config.num_prb_ul
-        _, slots = self._roster(cell)
-        requests = self._req[slots, 0]
+        budget = self._budget_ul
+        requests = self._req[0, self._rosters[cell]]
         allocation = allocate_prbs_array(requests, budget)
         used = int(np.minimum(allocation, requests).sum())
         return used / budget

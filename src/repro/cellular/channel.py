@@ -15,17 +15,19 @@
 
 Every channel ticks as one row of a tick batch
 (:mod:`repro.cellular.batch`), which precomputes the geometry and the
-random planes for the whole horizon and drives the rows with one loop
-event per tick. The instantaneous capacity is exposed as plain
-``rate_fn`` callables for :class:`repro.net.path.NetworkPath`, and
-1 Hz RSSI samples are logged exactly as coarsely as the paper's LTE
-dongles reported them.
+random planes for the whole horizon and runs steps 1-4 for all its
+rows at once, one loop event per tick. The channel holds its row's
+state — the handover engine, the outage, post-handover and outlier
+windows, the congestion episode, the logs — and the few per-row steps
+the batch's kernel calls into. The instantaneous capacity is exposed
+as plain ``rate_fn`` callables for :class:`repro.net.path.NetworkPath`,
+and 1 Hz RSSI samples are logged exactly as coarsely as the paper's
+LTE dongles reported them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -273,20 +275,15 @@ class CellularChannel:
         self._meas_rng = streams.derive("measurement")
         self._fastfade_rng = streams.derive("fastfade")
         self._outlier_rng = streams.derive("outliers")
-        self._fading_db = 0.0
-        self._fastfade = np.zeros(len(layout))
-        self._shadow = np.zeros(len(layout))
         self._horizon = horizon
         self._uplink_bps = 1e6
         self._downlink_bps = 10e6
         self._outlier_until: float | None = None
         self._post_ho_until: float | None = None
         self._paths: list[NetworkPath] = []
-        #: Tick batch (see :meth:`install_plan`): this row's
-        #: :class:`repro.cellular.batch.TickPlan`, the batch's shared
-        #: :class:`repro.cellular.batch.FleetTickState` and this
-        #: channel's row there.
-        self._plan = None
+        #: The :class:`repro.cellular.batch.FleetTickState` this
+        #: channel is a row of, and its row there (set by
+        #: :func:`repro.cellular.batch.install_fleet_plans`).
         self._batch = None
         self._row = 0
         self.samples: list[CapacitySample] = []
@@ -296,11 +293,6 @@ class CellularChannel:
         self._started = False
         self._contention = contention
         self._ue_id = ue_id
-        #: Mirror of this UE's attached cell — ``attach`` is a no-op
-        #: when the serving cell is unchanged, so the call is skipped
-        #: entirely on the (overwhelmingly common) steady-state tick.
-        self._attached_cell = -1
-        self._share_ul = 1.0
         self._congestion_t0: float | None = None
         self._congestion_min = 1.0
         #: Simulated seconds this session spent below the congestion
@@ -356,24 +348,6 @@ class CellularChannel:
             n_ticks,
         )
 
-    def install_plan(self, plan, state, row: int) -> None:
-        """Enroll this channel as row ``row`` of a tick batch.
-
-        ``plan`` is a :class:`repro.cellular.batch.TickPlan` covering
-        this channel's whole horizon, built with one block RNG refill
-        per stream (see :func:`repro.cellular.batch.build_tick_plans`):
-        :meth:`_tick` reads its precomputed rows instead of drawing.
-        ``state`` is the batch's shared
-        :class:`repro.cellular.batch.FleetTickState`: it advances the
-        L3 filter and the interference powers once per tick for every
-        row, publishes the A3 hints and neighbour sums, and calls each
-        row's :meth:`_tick`. Installed once, before :meth:`start`, by
-        :func:`repro.cellular.batch.install_fleet_plans`.
-        """
-        self._plan = plan
-        self._batch = state
-        self._row = row
-
     def start(self) -> None:
         """Begin the 10 Hz measurement/update loop.
 
@@ -398,97 +372,8 @@ class CellularChannel:
         self._batch.start_row(self._row)
 
     # ------------------------------------------------------------------
-    # per-tick update
+    # per-row state the tick kernel calls into
     # ------------------------------------------------------------------
-    def _tick(self, k: int, now: float) -> None:
-        """Tick ``k`` at ``now``, called by the batch.
-
-        Every random plane comes from the plan and the L3 filter, the
-        interference powers, the A3 hint and the neighbour sums from
-        the batch, which advanced them for all rows at once. The
-        outlier stream stays live: its draws are altitude-gated and
-        cannot be counted ahead of time.
-        """
-        plan = self._plan
-        batch = self._batch
-        row = self._row
-        engine = self.engine
-        contention = self._contention
-        altitude = plan.altitudes[k]
-        self._shadow = plan.shadow_db[k]
-        self._fastfade = plan.fastfade[k]
-        self._fading_db = plan.fading[k]
-        filtered = batch.f_matrix[row]
-        if batch.hint_k == k and (
-            contention is None or batch.hint_stamp == contention._rank_version
-        ):
-            # No attach changed the offsets or the at-cap set since
-            # the batch ranked every row: take its masked argmax.
-            event = engine.measure_prefiltered(
-                now,
-                filtered,
-                altitude=altitude,
-                hint=(batch.hint_best[row], batch.hint_margin[row]),
-            )
-        elif contention is None:
-            # Tick 0, before any ranking: camp on the strongest cell.
-            event = engine.measure_prefiltered(now, filtered, altitude=altitude)
-        else:
-            event = engine.measure_prefiltered(
-                now,
-                filtered,
-                altitude=altitude,
-                offsets=contention.offsets(),
-                blocked=contention.blocked_cells(self._ue_id),
-            )
-        if event is not None:
-            self._begin_outage(now, event.execution_time)
-        sc = engine.serving_cell
-        self.cells_seen.add(sc)
-        self._update_outliers(now, altitude)
-        # Neighbour interference: the batch summed every row's
-        # neighbour powers for the serving cells the tick started
-        # with; tick 0 and a row that just handed over sum their own
-        # (value-identical: same values, same order).
-        if k and batch.tick_serving[row] == sc:
-            others_sum = batch.others_mw[row]
-        else:
-            prow = batch.powered[row]
-            others = np.empty(len(prow) - 1)
-            others[:sc] = prow[:sc]
-            others[sc:] = prow[sc + 1:]
-            others_sum = float(others.sum())
-        serving_rsrp = float(filtered[sc])
-        ratio = INTERFERENCE_LOAD * others_sum / max(
-            10.0 ** (serving_rsrp / 10.0), 1e-30
-        )
-        uplink, downlink, sinr = self._capacity(now, altitude, plan.loss[k], ratio)
-        if contention is not None:
-            uplink, downlink = self._contend(now, uplink, downlink)
-        self._uplink_bps = uplink
-        self._downlink_bps = downlink
-        if self.obs.enabled:
-            self.obs.gauge("channel/uplink_bps", uplink)
-            self.obs.gauge("channel/downlink_bps", downlink)
-            self.obs.observe("channel/sinr_db", sinr, buckets=SINR_BUCKETS)
-            self.capacity_dip.update(now, uplink)
-        self.samples.append(
-            CapacitySample(
-                now,
-                uplink,
-                downlink,
-                sc,
-                serving_rsrp,
-                sinr,
-                altitude,
-                engine._in_handover_until is not None,
-                self._share_ul,
-            )
-        )
-        if now - self._last_rssi_time >= 1.0:
-            self._last_rssi_time = now
-            self.rssi_log.append(RssiReport(now, serving_rsrp, sc))
-
     def _begin_outage(self, now: float, het: float) -> None:
         if self.config.make_before_break:
             # DAPS: both protocol stacks stay active through the
@@ -506,45 +391,6 @@ class CellularChannel:
                 path.set_up(True)
 
         self._loop.call_later(het, back_up)
-
-    # ------------------------------------------------------------------
-    # shared-cell contention
-    # ------------------------------------------------------------------
-    def _contend(
-        self, now: float, uplink: float, downlink: float
-    ) -> tuple[float, float]:
-        """Scale this tick's rates by the granted PRB share.
-
-        A sole occupant is granted share 1.0 in both directions and
-        the multiplications are skipped entirely, so an uncontended
-        fleet member produces bit-identical rates to the single-
-        session path.
-        """
-        contention = self._contention
-        cell = self.engine.serving_cell
-        if cell != self._attached_cell:
-            contention.attach(self._ue_id, cell)
-            self._attached_cell = cell
-        contention.update_rates(self._ue_id, uplink, downlink)
-        share_ul, share_dl = contention.shares(self._ue_id)
-        if share_ul != 1.0:
-            uplink = max(uplink * share_ul, 1e4)
-        if share_dl != 1.0:
-            downlink = max(downlink * share_dl, 1e4)
-        self._share_ul = share_ul
-        self._track_congestion(now, share_ul)
-        return uplink, downlink
-
-    def _track_congestion(self, now: float, share: float) -> None:
-        if share < self._contention.config.congestion_share:
-            self.congestion_time += MEASUREMENT_PERIOD
-            if self._congestion_t0 is None:
-                self._congestion_t0 = now
-                self._congestion_min = share
-            else:
-                self._congestion_min = min(self._congestion_min, share)
-        elif self._congestion_t0 is not None:
-            self._close_congestion(now)
 
     def _close_congestion(self, end: float) -> None:
         if self.obs.enabled:
@@ -584,73 +430,3 @@ class CellularChannel:
                     altitude=float(altitude),
                 )
                 self.obs.count("channel/interference_outliers")
-
-    def _capacity(
-        self,
-        now: float,
-        altitude: float,
-        loss_row: np.ndarray,
-        interference_ratio: float,
-    ) -> tuple[float, float, float]:
-        """Per-tick capacity from the serving cell's link quality.
-
-        ``interference_ratio`` is the neighbour-interference power over
-        the serving cell's (times :data:`INTERFERENCE_LOAD`), from the
-        L3-filtered RSRP the tick batch powered for every row at once.
-        """
-        serving = self.engine.serving_cell
-        # Uplink budget: the BS receive antenna is wide in the uplink,
-        # so the uplink SNR follows the 3-D path loss to the serving
-        # site (plus the serving cell's shadowing and fast fading) —
-        # not the down-tilted downlink pattern that drives handovers.
-        loss = float(loss_row[serving])
-        # The serving cell's aerial fast fading enters the uplink SNR:
-        # a handover is usually preceded by the serving cell fading
-        # below its neighbours, so capacity dips *before* the A3 event
-        # fires — the origin of the paper's pre-handover latency
-        # spikes (Fig. 8/9).
-        alt_frac = min(altitude / 40.0, 1.0)
-        serving_fastfade = (
-            alt_frac
-            * self.config.air_fastfade_std_db
-            * float(self._fastfade[serving])
-        )
-        snr_db = (
-            UL_BUDGET_DB
-            - loss
-            + 0.5 * float(self._shadow[serving])
-            + self._fading_db
-            + serving_fastfade
-        )
-        # Interference rise: in the air many neighbour cells are
-        # received nearly as strongly as the serving one, raising the
-        # effective interference floor; on the ground the serving cell
-        # dominates and the rise is negligible.
-        sinr_lin = 10.0 ** (snr_db / 10.0) / (1.0 + interference_ratio)
-        sinr_db_eff = 10.0 * math.log10(max(sinr_lin, 1e-6))
-        uplink = (
-            EFFECTIVE_UL_BANDWIDTH
-            * math.log2(1.0 + sinr_lin)
-            * self.profile.capacity_scale
-        )
-        uplink = min(uplink, self.profile.uplink_plan_cap)
-        downlink = min(6.0 * uplink, self.profile.downlink_plan_cap)
-        # Additional pre-handover degradation while the A3 timer runs:
-        # the radio link that is about to hand over is already poor
-        # (interference from the overtaking cell).
-        pending_age = self.engine.a3_pending_age(now)
-        if pending_age > 0.0:
-            depth = min(pending_age / self.config.a3.time_to_trigger, 1.0)
-            factor = 1.0 - (1.0 - self.config.pre_handover_factor) * depth
-            uplink *= factor
-            downlink *= factor
-        if self._post_ho_until is not None:
-            if now < self._post_ho_until:
-                uplink *= self.config.post_handover_factor
-                downlink *= self.config.post_handover_factor
-            else:
-                self._post_ho_until = None
-        if self._outlier_until is not None:
-            uplink *= self.config.outlier_capacity_factor
-            downlink *= self.config.outlier_capacity_factor
-        return max(uplink, 1e4), max(downlink, 1e4), sinr_db_eff

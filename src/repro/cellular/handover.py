@@ -120,43 +120,17 @@ class HandoverEngine:
         self._a3_candidate: int | None = None
         self._a3_since: float | None = None
         self._in_handover_until: float | None = None
+        #: The last handover while its prohibit window may still be
+        #: open; :meth:`_gate` clears it once the window has passed.
+        self._last_handover: HandoverEvent | None = None
         self.events: list[HandoverEvent] = []
         #: Observability recorder (wired by the owning channel).
         self.obs = NULL_RECORDER
 
     @property
-    def filtered_rsrp(self) -> np.ndarray | None:
-        """L3-filtered RSRP vector (dBm), or ``None`` before data."""
-        return self._filtered
-
-    @property
     def in_handover(self) -> bool:
         """Whether a handover execution is currently in progress."""
         return self._in_handover_until is not None
-
-    def a3_pending(self) -> bool:
-        """Whether the A3 condition is currently building toward TTT."""
-        return self._a3_since is not None
-
-    def a3_pending_age(self, now: float) -> float:
-        """Seconds the current A3 condition has been building (0 if none)."""
-        if self._a3_since is None:
-            return 0.0
-        return max(0.0, now - self._a3_since)
-
-    def best_neighbour_margin(self) -> float:
-        """Filtered RSRP margin of the best neighbour over serving (dB).
-
-        Positive values mean a neighbour is already stronger; the
-        channel model uses this to degrade capacity *before* the A3
-        event fires — the paper's pre-handover latency spikes start
-        roughly half a second before the handover (Section 4.2.2).
-        """
-        if self._filtered is None or len(self._filtered) < 2:
-            return float("-inf")
-        neighbours = self._filtered.copy()
-        neighbours[self.serving_cell] = -np.inf
-        return float(neighbours.max() - self._filtered[self.serving_cell])
 
     def measure(
         self, now: float, rsrp: np.ndarray, *, altitude: float = 0.0
@@ -189,9 +163,16 @@ class HandoverEngine:
 
         A tick batch advances the EWMA filter for *all* its rows in one
         ``(n_rows, n_cells)`` matrix op per tick (see
-        :class:`repro.cellular.batch.FleetTickState`) and hands each
-        engine its row here; the matrix recursion is
-        elementwise-identical to :meth:`measure`'s per-UE one.
+        :class:`repro.cellular.batch.FleetTickState`), elementwise-
+        identical to :meth:`measure`'s per-UE recursion, and hands an
+        engine its row here only on a tick where this step can change
+        something: its first measurement, a tick without a valid hint,
+        or a hinted tick whose windows are closed and whose margin is
+        above the hysteresis (or NaN) or whose A3 condition is already
+        building. On every other tick the step would only clear an
+        already clear candidate, so the batch skips the call and
+        ``_filtered`` keeps an older row (it is read again only by
+        :meth:`measure`, which a batched engine never runs).
         ``offsets`` is the per-cell load-balancing bias in dB (the
         cell-individual offsets of
         :class:`repro.cellular.cell.CellContention`) added to the
@@ -241,19 +222,23 @@ class HandoverEngine:
 
         :meth:`measure_prefiltered` runs it before it ranks cells or
         takes a hint, so a hinted tick skips exactly the ticks an
-        unhinted one skips.
+        unhinted one skips. It can only return ``True`` while
+        ``_in_handover_until`` or ``_last_handover`` is set, which is
+        how a tick batch skips the call for every other row.
         """
         if self._in_handover_until is not None:
             if now >= self._in_handover_until:
                 self._in_handover_until = None
             else:
                 return True
-        if self.events and now - self.events[-1].time < (
-            self.events[-1].execution_time + self.config.prohibit_time
-        ):
-            self._a3_candidate = None
-            self._a3_since = None
-            return True
+        last = self._last_handover
+        if last is not None:
+            if now - last.time < last.execution_time + self.config.prohibit_time:
+                self._a3_candidate = None
+                self._a3_since = None
+                return True
+            # Time only moves forward: the window stays passed.
+            self._last_handover = None
         return False
 
     def _evaluate(
@@ -321,6 +306,7 @@ class HandoverEngine:
             altitude=altitude,
         )
         self.events.append(event)
+        self._last_handover = event
         if self.obs.enabled:
             self.obs.span_at(
                 "handover.execution",

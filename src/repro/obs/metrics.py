@@ -423,8 +423,8 @@ class FleetMetricsPlane:
       :meth:`Histogram.observe_many` each;
     * ``fleet/ticks`` and ``fleet/congestion_time`` counters.
 
-    Congestion accounting mirrors ``Channel._track_congestion``
-    exactly: a tick is congested iff its share is **strictly below**
+    Congestion accounting mirrors the tick kernel's
+    (:mod:`repro.cellular.batch`) exactly: a tick is congested iff its share is **strictly below**
     ``congestion_share``, and each congested tick contributes
     ``tick_period`` simulated seconds.
     """

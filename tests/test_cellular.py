@@ -268,11 +268,6 @@ class TestHandoverEngine:
         assert len(events) == 1
         assert engine.in_handover
 
-    def test_best_neighbour_margin(self):
-        engine = self.make_engine()
-        engine.measure(0.0, np.array([-60.0, -70.0, -75.0]))
-        assert engine.best_neighbour_margin() == pytest.approx(-10.0)
-
 
 class TestHandoverEdgeCases:
     """Edge cases pinned by the fleet-contention PR: degenerate
@@ -290,17 +285,20 @@ class TestHandoverEdgeCases:
             assert engine.measure(i * 0.1, np.array([level])) is None
         assert engine.events == []
         assert engine.serving_cell == 0
-        assert not engine.a3_pending()
+        assert engine._a3_since is None
 
     def test_margin_before_first_measurement_is_minus_inf(self):
         engine = self.make_engine()
-        assert engine.filtered_rsrp is None
-        assert engine.best_neighbour_margin() == float("-inf")
+        assert engine._filtered is None
+        assert engine._a3_candidate is None
 
     def test_single_cell_margin_is_minus_inf(self):
         engine = self.make_engine(num_cells=1)
         engine.measure(0.0, np.array([-70.0]))
-        assert engine.best_neighbour_margin() == float("-inf")
+        # The only cell is masked out of the ranking: no neighbour can
+        # ever lead it, however far its RSRP moves.
+        assert engine.measure(0.1, np.array([-140.0])) is None
+        assert engine._a3_candidate is None
 
     def test_prohibit_window_resets_a3_candidate(self):
         engine = self.make_engine(
@@ -324,7 +322,7 @@ class TestHandoverEdgeCases:
         # must swallow the A3 state, not just delay its execution.
         while now < event.time + event.execution_time + 2.0:
             assert engine.measure(now, np.array([-60.0, -90.0])) is None
-            assert not engine.a3_pending()
+            assert engine._a3_since is None
             now += 0.1
         # After the window the condition must re-arm from scratch:
         # a fresh TTT (0.2 s) has to elapse before the reversal fires.
@@ -388,7 +386,7 @@ class TestHandoverEdgeCases:
                 offsets=no_offsets, blocked=(1,),
             )
             assert event is None  # only neighbour is full -> stay
-            assert not engine.a3_pending()
+            assert engine._a3_since is None
         assert engine.serving_cell == 0
 
     def test_negative_offset_sheds_crowded_serving_cell(self):

@@ -5,25 +5,43 @@ member and a probe sweep one row per seed (:mod:`repro.cellular.batch`).
 These tests pin what the batch promises beyond bit-identity (which
 ``tests/test_fingerprints.py`` pins): a loud end of the horizon,
 output that does not depend on the horizon, rows that must share one
-config, a finished batch freed without the cyclic GC, and A3 hints
-that miss only when something they read changed.
+config, a finished batch and its planes freed without the cyclic GC,
+A3 hints that miss only when something they read changed, a share
+pass equal to the per-UE scheduler calls made row by row, and records
+that hold Python scalars only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.cellular.batch import run_lockstep
-from repro.cellular.cell import CellCapacityConfig
+import repro.core.fleet as fleet_module
+from repro.cellular.batch import install_fleet_plans, run_lockstep
+from repro.cellular.cell import (
+    CellCapacityConfig,
+    CellContention,
+    _request_prbs,
+    allocate_prbs,
+    request_prbs_array,
+)
 from repro.cellular.channel import CellularChannel
 from repro.cellular.handover import HandoverEngine
 from repro.cellular.operators import get_profile
 from repro.core.config import ScenarioConfig
 from repro.core.fleet import FleetConfig, run_fleet
-from repro.core.session import build_channel_config, build_trajectory
+from repro.core.session import (
+    build_channel_config,
+    build_session,
+    build_trajectory,
+    run_session,
+)
 from repro.net.simulator import EventLoop
 from repro.util.rng import RngStreams
 
@@ -160,3 +178,208 @@ def test_uncapped_fleet_without_load_balancing_misses_hints_only_at_tick_zero(
     assert result.max_sessions_per_cell < 64
     assert calls["hinted"] > 0
     assert calls["unhinted"] == config.num_sessions
+
+
+def test_finished_session_and_fleet_planes_are_freed_by_reference_counting(
+    monkeypatch,
+):
+    # A finished session's channel sits in reference cycles (the rate
+    # callbacks it hands its links), so only the cyclic GC frees it;
+    # the whole-horizon planes must not wait for that.
+    planes = []
+
+    def recording(channels, duration):
+        state = install_fleet_plans(channels, duration)
+        planes.extend(
+            weakref.ref(plane) for plane in (state.plan.rsrp, state.plan.snr_db)
+        )
+        return state
+
+    monkeypatch.setattr(fleet_module, "install_fleet_plans", recording)
+    config = ScenarioConfig(
+        cc="gcc", environment="urban", platform="air", seed=3, duration=3.0
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        loop = EventLoop()
+        handles = build_session(loop, config)
+        handles.start()
+        plan = handles.channel._batch.plan
+        planes.extend(weakref.ref(plane) for plane in (plan.rsrp, plan.snr_db))
+        del plan
+        loop.run_until(config.duration)
+        handles.stop()
+        handles.finish(loop.now)
+        handles.collect()
+        run_fleet(FleetConfig(base=config, num_sessions=4, spread_radius=50.0))
+        assert len(planes) == 4
+        assert [ref() is None for ref in planes] == [True] * len(planes)
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# the share pass against the per-UE scheduler calls
+# ----------------------------------------------------------------------
+RATES = st.one_of(st.just(0.0), st.floats(1e4, 6e7))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tick_shares_equal_row_by_row_reference(data):
+    n_cells = data.draw(st.integers(2, 4), label="n_cells")
+    n_ues = data.draw(st.integers(2, 12), label="n_ues")
+    config = CellCapacityConfig(
+        max_sessions=data.draw(st.integers(1, 4), label="max_sessions"),
+        lb_step_db=data.draw(st.sampled_from([0.0, 2.0]), label="lb_step_db"),
+    )
+    # UE ids in shuffled order: rosters sort by id, rows run by slot.
+    ue_ids = data.draw(st.permutations(range(n_ues)), label="ue_ids")
+    demand = st.one_of(st.none(), st.floats(1e4, 5e7))
+    demands = [
+        (data.draw(demand, label="ul"), data.draw(demand, label="dl"))
+        for _ in range(n_ues)
+    ]
+    kernel = CellContention(n_cells, config)
+    reference = CellContention(n_cells, config)
+    for ue, (ul, dl) in zip(ue_ids, demands):
+        for contention in (kernel, reference):
+            contention.register(ue, demand_ul_bps=ul, demand_dl_bps=dl)
+    slots = list(range(n_ues))
+    budgets = (config.num_prb_ul, config.num_prb_dl)
+    requests = [list(budgets) for _ in slots]  # the test's own model
+    cells = [-1] * n_ues
+    for _ in range(data.draw(st.integers(1, 5), label="ticks")):
+        new_cells = data.draw(
+            st.lists(
+                st.integers(0, n_cells - 1), min_size=n_ues, max_size=n_ues
+            ),
+            label="cells",
+        )
+        unc = data.draw(
+            st.lists(st.tuples(RATES, RATES), min_size=n_ues, max_size=n_ues),
+            label="rates",
+        )
+        moved = [row for row in slots if new_cells[row] != cells[row]]
+        expected: list[tuple[float, float]] = []
+        for row, ue in zip(slots, ue_ids):
+            if new_cells[row] != cells[row]:
+                kernel.count_move(kernel._cells[row], new_cells[row])
+            reference.attach(ue, new_cells[row])
+            assert kernel._rank_version == reference._rank_version
+            reference.update_rates(ue, *unc[row])
+            share = reference.shares(ue)
+            # Independent of the scheduler's bookkeeping: split the
+            # budget over the cell's members as of this row.
+            dem = [math.nan if d is None else d for d in demands[row]]
+            requests[row] = [
+                _request_prbs(dem[d], unc[row][d], budgets[d]) for d in (0, 1)
+            ]
+            members = sorted(
+                (
+                    s for s in slots
+                    if (new_cells[s] if s <= row else cells[s]) == new_cells[row]
+                ),
+                key=lambda s: ue_ids[s],
+            )
+            if len(members) == 1:
+                assert share == (1.0, 1.0)
+            else:
+                index = members.index(row)
+                assert share == tuple(
+                    allocate_prbs([requests[s][d] for s in members], budgets[d])[
+                        index
+                    ] / budgets[d]
+                    for d in (0, 1)
+                )
+            expected.append(share)
+        unc_ul, unc_dl = (list(column) for column in zip(*unc))
+        share_ul, share_dl = kernel.tick_shares(
+            slots, np.array(slots), new_cells, moved, unc_ul, unc_dl
+        )
+        assert list(zip(share_ul, share_dl)) == expected
+        assert kernel._req_ul == reference._req_ul == [r[0] for r in requests]
+        assert kernel._req_dl == reference._req_dl == [r[1] for r in requests]
+        assert np.array_equal(kernel._req, reference._req)
+        assert kernel._cells == reference._cells == new_cells
+        assert kernel._rosters == reference._rosters
+        assert kernel._counts_py == reference._counts_py
+        assert np.array_equal(kernel._offsets, reference._offsets)
+        assert np.array_equal(kernel._at_cap, reference._at_cap)
+        assert kernel._rank_version == reference._rank_version
+        assert kernel.peak_attached == reference.peak_attached
+        cells = new_cells
+
+
+@given(
+    demand=st.one_of(st.just(math.nan), st.floats(-1e3, 1e9)),
+    unc=st.one_of(st.sampled_from([0.0, -1.0, -5e6]), st.floats(1e-3, 1e9)),
+    budget=st.integers(1, 200),
+)
+@example(demand=1e6, unc=1e6, budget=100)  # quotient exactly the budget
+@example(demand=1e6 + 1.0, unc=1e6, budget=100)  # just above it
+@example(demand=1e6 - 1.0, unc=1e6, budget=100)  # just below it
+@example(demand=0.0, unc=1e6, budget=100)  # asks for nothing: one PRB
+@example(demand=5e6, unc=-0.0, budget=50)
+@settings(max_examples=300, deadline=None)
+def test_request_prbs_array_matches_scalar(demand, unc, budget):
+    got = request_prbs_array(np.array([demand]), np.array([unc]), budget)
+    assert got.tolist() == [_request_prbs(demand, unc, budget)]
+
+
+def test_request_prbs_array_takes_a_budget_per_direction():
+    demand = np.array([[2e6, math.nan, 1e5], [math.nan, 3e6, 1e9]])
+    unc = np.array([[1e7, 1e7, 0.0], [5e7, 1e6, 1e6]])
+    budgets = np.array([[100], [25]])
+    got = request_prbs_array(demand, unc, budgets)
+    assert got.dtype == np.int64
+    assert got.tolist() == [
+        [_request_prbs(d, u, b) for d, u in zip(drow, urow)]
+        for drow, urow, b in zip(demand.tolist(), unc.tolist(), (100, 25))
+    ]
+
+
+# ----------------------------------------------------------------------
+# records hold Python scalars only
+# ----------------------------------------------------------------------
+def assert_python_scalars(records) -> None:
+    for record in records:
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            assert type(value) in (float, int, bool), (record, field.name)
+
+
+def test_records_hold_python_scalars_only():
+    fleet = run_fleet(
+        FleetConfig(
+            base=ScenarioConfig(
+                cc="static", environment="rural", platform="air", seed=3,
+                duration=10.0,
+            ),
+            num_sessions=6,
+            spread_radius=30.0,
+            cell_capacity=CellCapacityConfig(max_sessions=2),
+        )
+    )
+    samples = [s for session in fleet.sessions for s in session.capacity_samples]
+    assert any(s.uplink_share < 1.0 for s in samples)  # really contended
+    assert all(type(t) is float for t in fleet.congestion_time)
+    assert any(t > 0.0 for t in fleet.congestion_time)
+    loop = EventLoop()
+    probes = [
+        build_channel(URBAN_AIR.with_overrides(seed=seed), loop, horizon=60.0)
+        for seed in range(3, 11)
+    ]
+    run_lockstep(probes, 60.0)
+    session = run_session(URBAN_AIR.with_overrides(cc="gcc", seed=2, duration=10.0))
+    runs = [
+        (s.capacity_samples, s.rssi_log, s.handovers)
+        for s in [*fleet.sessions, session]
+    ] + [(ch.samples, ch.rssi_log, ch.engine.events) for ch in probes]
+    assert any(handovers for _, _, handovers in runs)
+    for capacity, rssi, handovers in runs:
+        assert capacity and rssi
+        assert_python_scalars(capacity)
+        assert_python_scalars(rssi)
+        assert_python_scalars(handovers)

@@ -3,17 +3,20 @@
 Every channel ticks as a row of a tick batch (:mod:`repro.cellular.batch`),
 so the number of Python calls a row-tick costs is the tick's speed in
 a unit that does not depend on the host. Calls are counted with
-``sys.setprofile`` over a whole probe run, set-up included, and only
-frames whose code lives inside the ``repro`` package count, as in
-``tests/test_media_path_cost.py``.
+``sys.setprofile`` over a whole run, set-up included, and only frames
+whose code lives inside the ``repro`` package (or, for the fleet,
+``repro.cellular``) count, as in ``tests/test_media_path_cost.py``.
 
-No wall-clock assertion. An 8-seed probe batch makes about 7.6 calls
-per row-tick (ceiling 9): the rows index Python lists the batch
-publishes once per tick and leave the filter to the batch. A batch
-whose rows read numpy scalars, gather their serving cells through a
-generator and advance the filter themselves makes about 10.5. A single
-channel makes about 12.0 per tick (ceiling 14); drawing every plane
-per tick, as channels once did, made 15.0.
+No wall-clock assertion. The batch's tick kernel moves all rows
+through a tick in four passes and calls into a row's handover engine,
+outlier stream or scheduler only where that row's state can change,
+so most row-ticks make no call at all. An 8-seed probe batch makes
+about 2.47 ``repro`` calls per row-tick (ceiling 2.85; a tick that
+called each row's own ``_tick``, capacity and A3 step made 7.58), a
+single channel about 7.47 per tick (ceiling 8.6; before: 12.03, and
+15.02 when every plane was drawn per tick), and the golden dense N=64
+fleet about 1.73 ``repro.cellular`` calls per row-tick (ceiling 2.0;
+the per-row tick with per-UE scheduler calls made 14.6).
 """
 
 from __future__ import annotations
@@ -22,10 +25,14 @@ import os
 import sys
 
 import repro
+from repro.cellular.channel import MEASUREMENT_PERIOD
 from repro.core.config import ScenarioConfig
+from repro.core.fleet import run_fleet
 from repro.experiments.probes import channel_probe_batch, channel_probe_seed
+from tests.test_fingerprints import DENSE_FLEET
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_CELLULAR_DIR = os.path.join(_REPRO_DIR, "cellular") + os.sep
 
 DURATION = 60.0
 #: Ticks of a run started at 0 s, ``run_until(DURATION)`` inclusive.
@@ -41,8 +48,10 @@ def configs(seeds: range) -> list[ScenarioConfig]:
     ]
 
 
-def repro_calls_per_row_tick(run, n_rows: int) -> float:
-    """``repro`` calls per row-tick of ``run()``, a probe run of ``n_rows``."""
+def repro_calls_per_row_tick(
+    run, n_rows: int, ticks: int = TICKS, package: str = _REPRO_DIR
+) -> float:
+    """Calls into ``package`` per row-tick of ``run()``, ``n_rows`` rows."""
     counts: dict = {}
 
     def profile(frame, event, arg):
@@ -58,9 +67,9 @@ def repro_calls_per_row_tick(run, n_rows: int) -> float:
         sys.setprofile(previous)
     calls = sum(
         count for code, count in counts.items()
-        if os.path.abspath(code.co_filename).startswith(_REPRO_DIR)
+        if os.path.abspath(code.co_filename).startswith(package)
     )
-    return calls / (TICKS * n_rows)
+    return calls / (ticks * n_rows)
 
 
 def test_probe_batch_calls_per_row_tick():
@@ -70,7 +79,7 @@ def test_probe_batch_calls_per_row_tick():
         results = channel_probe_batch(batch)
         assert [len(r.uplink_samples) for r in results] == [TICKS] * len(batch)
 
-    assert repro_calls_per_row_tick(run, len(batch)) <= 9.0
+    assert repro_calls_per_row_tick(run, len(batch)) <= 2.85
 
 
 def test_single_channel_calls_per_tick():
@@ -79,4 +88,15 @@ def test_single_channel_calls_per_tick():
     def run():
         assert len(channel_probe_seed(config).uplink_samples) == TICKS
 
-    assert repro_calls_per_row_tick(run, 1) <= 14.0
+    assert repro_calls_per_row_tick(run, 1) <= 8.6
+
+
+def test_fleet_cellular_calls_per_row_tick():
+    ticks = round(DENSE_FLEET.base.duration / MEASUREMENT_PERIOD) + 1
+    calls = repro_calls_per_row_tick(
+        lambda: run_fleet(DENSE_FLEET),
+        DENSE_FLEET.num_sessions,
+        ticks=ticks,
+        package=_CELLULAR_DIR,
+    )
+    assert calls <= 2.0
