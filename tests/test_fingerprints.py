@@ -22,7 +22,11 @@ Golden cases:
 * the full trace and metrics of a trace-sampled fleet member;
 * the dense N=64 fleet;
 * the ``obs="metrics"`` snapshot records of every pinned config's
-  seed-1 session, which pin the per-packet instruments' values.
+  seed-1 session, which pin the per-packet instruments' values;
+* urban air SCReAM flights at ack windows 64 and 256, long enough for
+  delivered packets to slide below the RFC 8888 ack window (the
+  paper's Section 4.2.1 false losses), with the controller's log and
+  loss counters.
 
 Live comparisons between two production paths run beside the golden
 checks: batched vs per-seed probes and sessions, an N=1 fleet vs the
@@ -109,6 +113,15 @@ PROBE_SEEDS = (1, 2, 3, 4)
 SESSION_SEEDS = (1, 2)
 PROBE_DURATION = 60.0
 SESSION_DURATION = 10.0
+
+#: SCReAM RFC 8888 feedback cases: ack window, duration, seeds. Urban
+#: air flights push enough packets between two reports that delivered
+#: ones slide below the window and are declared lost; the pinned 10 s
+#: ground SCReAM sessions at window 256 never get there.
+FEEDBACK_PINNED = {
+    "scream-urban-air-ack64": (64, 20.0, (1, 2)),
+    "scream-urban-air-ack256": (256, 30.0, (1,)),
+}
 
 #: Pinned fleet configs. Axes: load-balancing CIO churn under GCC,
 #: admission caps small enough to block cells mid-run (defeating the
@@ -197,6 +210,10 @@ def session_metrics_case(name: str, seed: int) -> str:
     return f"session-metrics/{name}/seed={seed}"
 
 
+def feedback_case(name: str, seed: int) -> str:
+    return f"feedback/{name}/seed={seed}"
+
+
 def fleet_case(name: str) -> str:
     return f"fleet/{name}"
 
@@ -220,6 +237,35 @@ def session_configs(name: str) -> list[ScenarioConfig]:
         PINNED[name].with_overrides(seed=seed, duration=SESSION_DURATION)
         for seed in SESSION_SEEDS
     ]
+
+
+def feedback_configs(name: str) -> list[ScenarioConfig]:
+    window, duration, seeds = FEEDBACK_PINNED[name]
+    return [
+        ScenarioConfig(
+            cc="scream",
+            environment="urban",
+            platform="air",
+            scream_ack_window=window,
+            seed=seed,
+            duration=duration,
+        )
+        for seed in seeds
+    ]
+
+
+def feedback_fingerprint(result) -> tuple:
+    """A SCReAM session's fingerprint plus its controller log and losses.
+
+    :func:`session_fingerprint` leaves out ``cc_log``; its ``repr`` pins
+    the controller's logged state and the type of every logged value.
+    """
+    return (
+        session_fingerprint(result),
+        repr(result.cc_log),
+        result.extra["false_loss_candidates"],
+        result.extra["detected_losses"],
+    )
 
 
 def fleet_config(name: str, **overrides) -> FleetConfig:
@@ -259,6 +305,12 @@ def golden_fingerprints():
             session_metrics_case(name, config.seed),
             run_session(config, obs="metrics").extra["metrics"],
         )
+    for name in sorted(FEEDBACK_PINNED):
+        for config in feedback_configs(name):
+            yield (
+                feedback_case(name, config.seed),
+                feedback_fingerprint(run_session(config)),
+            )
     for name in sorted(FLEET_PINNED):
         yield fleet_case(name), fleet_fingerprint(run_fleet(fleet_config(name)))
         metered = run_fleet(fleet_config(name), obs="metrics")
@@ -390,6 +442,17 @@ def test_session_metrics_snapshot_matches_golden(name, golden):
     assert metered
     assert metered == traced
     assert_golden(golden, session_metrics_case(name, config.seed), metered)
+
+
+@pytest.mark.parametrize("name", sorted(FEEDBACK_PINNED))
+def test_scream_feedback_matches_golden(name, golden):
+    """SCReAM's ack and false-loss path is pinned, log and counters too."""
+    for config in feedback_configs(name):
+        assert_golden(
+            golden,
+            feedback_case(name, config.seed),
+            feedback_fingerprint(run_session(config)),
+        )
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_PINNED))
