@@ -13,6 +13,16 @@ implementation the paper used, including its central flaw (Section
   never reported and this rule fires falsely, cutting the bitrate
   needlessly. ``false_loss_candidates`` counts these events so the
   ablation bench can compare ack windows 64 vs 256.
+
+A report covers ``ack_window`` sequence numbers, most of which are no
+longer in flight, so :meth:`ScreamController.on_feedback` walks the
+in-flight packets once instead of the report's positions. The dict
+keeps send order, which is sequence order, so the walk meets the
+stale entries (below the window) first and the in-window ones in
+window order; entries past the window are skipped. Acks and in-window
+losses reach the window in window order, then the stale entries in
+send order — the calls and arguments of a per-position walk followed
+by a full stale scan (DESIGN §14).
 """
 
 from __future__ import annotations
@@ -23,8 +33,10 @@ from repro.cc.base import CongestionController, FeedbackKind, SentPacket
 from repro.cc.scream.rate import ScreamRateController
 from repro.cc.scream.window import ScreamWindow
 from repro.rtp.ccfb import CcfbReport
-from repro.rtp.packets import seq_distance
+from repro.rtp.packets import SEQ_MOD
 from repro.util.units import bytes_to_bits, to_ms
+
+_SEQ_HALF = SEQ_MOD // 2
 
 
 class ScreamController(CongestionController):
@@ -92,7 +104,14 @@ class ScreamController(CongestionController):
         return self.window.can_send(packet_size)
 
     def on_packet_sent(self, packet: SentPacket, now: float) -> None:
-        self._in_flight[packet.sequence] = packet
+        # The dict keeps send order, which on_feedback's walk relies
+        # on: a sequence number reused after the 16-bit wrap moves to
+        # the newest end instead of keeping its old slot.
+        in_flight = self._in_flight
+        sequence = packet.sequence
+        if sequence in in_flight:
+            del in_flight[sequence]
+        in_flight[sequence] = packet
         self.window.on_packet_sent(packet.size_bytes, now)
 
     def on_queue_state(self, queue_delay: float, queue_bytes: int, now: float) -> None:
@@ -104,49 +123,82 @@ class ScreamController(CongestionController):
     def on_feedback(self, report: CcfbReport, now: float) -> None:
         if not isinstance(report, CcfbReport):
             raise TypeError(f"expected CcfbReport, got {type(report)!r}")
+        begin = report.begin_seq
+        received = report.received
+        count = len(received)
+        if count > _SEQ_HALF:
+            raise ValueError(
+                f"a CCFB report covers at most {_SEQ_HALF} sequence "
+                f"numbers, got {count}"
+            )
+        in_flight = self._in_flight
+        # One walk over the in-flight packets. Position p is the
+        # sequence number's offset from begin_seq: inside the window
+        # when p < count, below it (stale) when p > _SEQ_HALF, i.e.
+        # seq_distance(seq, begin_seq) > 0; past the window otherwise.
+        hits: list[int] = []
+        stale: list[int] = []
+        last = -1
+        ordered = True
+        for seq in in_flight:
+            position = (seq - begin) % SEQ_MOD
+            if position < count:
+                if position < last:
+                    ordered = False
+                last = position
+                hits.append(seq)
+            elif position > _SEQ_HALF:
+                stale.append(seq)
+        if not ordered:
+            # Never reached while the dict keeps send order; the window
+            # must still see its positions in order if it does not.
+            hits.sort(key=lambda seq: (seq - begin) % SEQ_MOD)
         loss_detected = False
-        end_seq = report.end_seq
-        for seq, packet_report in report.iter_packets():
-            record = self._in_flight.get(seq)
-            if record is None:
-                continue
-            if packet_report.received:
-                arrival = report.report_timestamp - (
-                    packet_report.arrival_offset or 0.0
-                )
-                owd = max(0.0, arrival - record.send_time)
+        window = self.window
+        offsets = report.offsets
+        report_timestamp = report.report_timestamp
+        # Not received is a loss only when clearly out of the
+        # reordering window: seq_distance(seq, end_seq) > margin, which
+        # inside the window is count - 1 - position > margin.
+        lost_below = count - 1 - self.reorder_margin
+        acked = self._acked
+        acked_bytes = self._acked_bytes
+        acked_window = self._acked_window
+        for seq in hits:
+            position = (seq - begin) % SEQ_MOD
+            if received[position]:
+                record = in_flight.pop(seq)
+                arrival = report_timestamp - (offsets[position] or 0.0)
+                owd = arrival - record.send_time
                 record.acked = True
-                del self._in_flight[seq]
-                self.window.update_srtt(now - record.send_time)
-                self.window.on_packet_acked(record.size_bytes, owd, now)
-                self._note_acked(arrival, record.size_bytes)
-            else:
-                # Not received; only a loss if clearly out of the
-                # reordering window relative to the report end.
-                if seq_distance(seq, end_seq) > self.reorder_margin:
-                    record.lost = True
-                    del self._in_flight[seq]
-                    self.window.on_packet_lost(record.size_bytes, now)
-                    loss_detected = True
+                size = record.size_bytes
+                window.update_srtt(now - record.send_time)
+                window.on_packet_acked(size, owd if owd > 0.0 else 0.0, now)
+                acked.append((arrival, size))
+                acked_bytes += size
+                horizon = arrival - acked_window
+                while acked[0][0] < horizon:
+                    acked_bytes -= acked.popleft()[1]
+            elif position < lost_below:
+                record = in_flight.pop(seq)
+                record.lost = True
+                window.on_packet_lost(record.size_bytes, now)
+                loss_detected = True
+        self._acked_bytes = acked_bytes
         # Packets that slid below the report window unacknowledged:
         # the implementation cannot distinguish "delivered but never
         # reported" from "lost" — it declares them lost (the paper's
         # false-loss mechanism).
-        begin = report.begin_seq
-        stale = [
-            seq
-            for seq in self._in_flight
-            if seq_distance(seq, begin) > 0
-        ]
         for seq in stale:
-            record = self._in_flight.pop(seq)
+            record = in_flight.pop(seq)
             record.lost = True
-            self.window.on_packet_lost(record.size_bytes, now)
-            self.false_loss_candidates += 1
+            window.on_packet_lost(record.size_bytes, now)
+        if stale:
+            self.false_loss_candidates += len(stale)
             loss_detected = True
-        if stale and self.obs.enabled:
-            self.obs.event("scream.false_loss", packets=len(stale))
-            self.obs.count("scream/false_loss_candidates", len(stale))
+            if self.obs.enabled:
+                self.obs.event("scream.false_loss", packets=len(stale))
+                self.obs.count("scream/false_loss_candidates", len(stale))
         if loss_detected:
             self.detected_losses += 1
             if self.obs.enabled:
@@ -191,14 +243,6 @@ class ScreamController(CongestionController):
                         to_bps=self._target_bitrate,
                         reason="loss" if loss_detected else "qdelay",
                     )
-
-    def _note_acked(self, arrival: float, size_bytes: int) -> None:
-        self._acked.append((arrival, size_bytes))
-        self._acked_bytes += size_bytes
-        horizon = arrival - self._acked_window
-        while self._acked and self._acked[0][0] < horizon:
-            _, size = self._acked.popleft()
-            self._acked_bytes -= size
 
     def acked_bitrate(self) -> float | None:
         """Delivery rate measured from acknowledged packets (bits/s)."""

@@ -20,19 +20,27 @@ under both settings.
 Wire format follows RFC 8888: per-packet 16-bit metric blocks with an
 R (received) bit, 2-bit ECN and a 13-bit arrival-time offset in
 units of 1/1024 s.
+
+A report stores its per-sequence statuses as columns (received flags,
+arrival offsets, and ECN only where a report carries a non-zero bit), not
+as one object per sequence number: a packet is re-reported in several
+consecutive reports, and the SCReAM controller reads only the
+positions it still has in flight. :attr:`CcfbReport.reports` builds
+the per-packet :class:`CcfbPacketReport` view on demand (DESIGN §14).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.rtp.packets import SEQ_MOD, seq_distance
+from repro.rtp.packets import SEQ_MOD
 
 #: Arrival-time-offset resolution (RFC 8888: 1/1024 second).
 ATO_UNIT = 1.0 / 1024.0
 _ATO_MAX = 0x1FFD  # values above are saturated per the RFC
 _ATO_UNAVAILABLE = 0x1FFF
+_SEQ_HALF = SEQ_MOD // 2
 
 
 @dataclass(slots=True)
@@ -44,7 +52,7 @@ class CcfbPacketReport:
     ecn: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class CcfbReport:
     """An RFC 8888 report block for a single SSRC.
 
@@ -54,30 +62,85 @@ class CcfbReport:
         Media source being reported on.
     begin_seq:
         First sequence number covered.
-    reports:
-        One :class:`CcfbPacketReport` per sequence number starting at
-        ``begin_seq``.
     report_timestamp:
         Receiver clock at report generation (the RFC's RTS field).
+    received:
+        Per covered sequence number (``begin_seq + i``), whether it
+        arrived.
+    offsets:
+        Per covered sequence number, the arrival offset in seconds
+        before ``report_timestamp``; ``None`` where it did not arrive
+        or arrived with its offset unavailable (wire value 0x1FFF).
+    ecn:
+        Per covered sequence number, the ECN bits, or ``None`` when
+        every one is 0 (every report the recorder builds).
+
+    A report is built from the columns or from a list of
+    :class:`CcfbPacketReport` (``reports=``).
     """
 
     ssrc: int
     begin_seq: int
     report_timestamp: float
-    reports: list[CcfbPacketReport] = field(default_factory=list)
+    received: list[bool]
+    offsets: list[float | None]
+    ecn: list[int] | None
+
+    def __init__(
+        self,
+        ssrc: int,
+        begin_seq: int,
+        report_timestamp: float,
+        reports: list[CcfbPacketReport] | None = None,
+        *,
+        received: list[bool] | None = None,
+        offsets: list[float | None] | None = None,
+        ecn: list[int] | None = None,
+    ) -> None:
+        self.ssrc = ssrc
+        self.begin_seq = begin_seq
+        self.report_timestamp = report_timestamp
+        if reports is not None:
+            if received is not None or offsets is not None or ecn is not None:
+                raise ValueError("pass either reports or columns, not both")
+            received = [report.received for report in reports]
+            offsets = [report.arrival_offset for report in reports]
+            ecn = [report.ecn for report in reports]
+        if received is None:
+            received = []
+        if offsets is None:
+            offsets = [None] * len(received)
+        if len(offsets) != len(received) or (
+            ecn is not None and len(ecn) != len(received)
+        ):
+            raise ValueError("report columns differ in length")
+        if ecn is not None and not any(ecn):
+            ecn = None
+        self.received = received
+        self.offsets = offsets
+        self.ecn = ecn
+
+    @property
+    def reports(self) -> list[CcfbPacketReport]:
+        """One :class:`CcfbPacketReport` per covered sequence number."""
+        ecn = self.ecn or [0] * len(self.received)
+        return [
+            CcfbPacketReport(received=received, arrival_offset=offset, ecn=bits)
+            for received, offset, bits in zip(self.received, self.offsets, ecn)
+        ]
 
     @property
     def num_reports(self) -> int:
         """Number of sequence numbers covered."""
-        return len(self.reports)
+        return len(self.received)
 
     @property
     def end_seq(self) -> int:
         """Last covered sequence number (inclusive)."""
-        return (self.begin_seq + len(self.reports) - 1) % SEQ_MOD
+        return (self.begin_seq + len(self.received) - 1) % SEQ_MOD
 
     def iter_packets(self) -> list[tuple[int, CcfbPacketReport]]:
-        """Yield ``(sequence, report)`` pairs in order."""
+        """Return ``(sequence, report)`` pairs in order."""
         return [
             ((self.begin_seq + i) % SEQ_MOD, report)
             for i, report in enumerate(self.reports)
@@ -85,23 +148,30 @@ class CcfbReport:
 
     def to_bytes(self) -> bytes:
         """Serialize the report block (RFC 8888 Section 3.1)."""
-        blob = struct.pack("!IHH", self.ssrc, self.begin_seq, len(self.reports))
-        for report in self.reports:
+        count = len(self.received)
+        ecn = self.ecn or [0] * count
+        words = []
+        for received, offset, bits in zip(self.received, self.offsets, ecn):
             word = 0
-            if report.received:
+            if received:
                 word |= 0x8000
-                word |= (report.ecn & 0b11) << 13
-                if report.arrival_offset is None:
+                word |= (bits & 0b11) << 13
+                if offset is None:
                     ato = _ATO_UNAVAILABLE
                 else:
-                    ato = min(_ATO_MAX, int(report.arrival_offset / ATO_UNIT))
+                    ato = min(_ATO_MAX, int(offset / ATO_UNIT))
                 word |= ato & 0x1FFF
-            blob += struct.pack("!H", word)
-        if len(self.reports) % 2:
-            blob += b"\x00\x00"  # pad to 32-bit boundary
-        # trailing report timestamp (32 bits, 1/1024 s units)
-        blob += struct.pack("!I", int(self.report_timestamp / ATO_UNIT) & 0xFFFFFFFF)
-        return blob
+            words.append(word)
+        if count % 2:
+            words.append(0)  # pad to 32-bit boundary
+        return (
+            struct.pack("!IHH", self.ssrc, self.begin_seq, count)
+            + struct.pack(f"!{len(words)}H", *words)
+            # trailing report timestamp (32 bits, 1/1024 s units)
+            + struct.pack(
+                "!I", int(self.report_timestamp / ATO_UNIT) & 0xFFFFFFFF
+            )
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CcfbReport":
@@ -109,28 +179,28 @@ class CcfbReport:
         if len(data) < 12:
             raise ValueError("CCFB report too short")
         ssrc, begin_seq, num_reports = struct.unpack("!IHH", data[:8])
-        offset = 8
         (raw_rts,) = struct.unpack("!I", data[-4:])
-        report_timestamp = raw_rts * ATO_UNIT
-        reports: list[CcfbPacketReport] = []
-        for _ in range(num_reports):
-            (word,) = struct.unpack("!H", data[offset : offset + 2])
-            offset += 2
-            received = bool(word & 0x8000)
-            if not received:
-                reports.append(CcfbPacketReport(received=False))
+        words = struct.unpack(f"!{num_reports}H", data[8 : 8 + 2 * num_reports])
+        received: list[bool] = []
+        offsets: list[float | None] = []
+        ecn: list[int] = []
+        for word in words:
+            if not word & 0x8000:
+                received.append(False)
+                offsets.append(None)
+                ecn.append(0)
                 continue
-            ecn = (word >> 13) & 0b11
             ato = word & 0x1FFF
-            arrival = None if ato == _ATO_UNAVAILABLE else ato * ATO_UNIT
-            reports.append(
-                CcfbPacketReport(received=True, arrival_offset=arrival, ecn=ecn)
-            )
+            received.append(True)
+            offsets.append(None if ato == _ATO_UNAVAILABLE else ato * ATO_UNIT)
+            ecn.append((word >> 13) & 0b11)
         return cls(
             ssrc=ssrc,
             begin_seq=begin_seq,
-            report_timestamp=report_timestamp,
-            reports=reports,
+            report_timestamp=raw_rts * ATO_UNIT,
+            received=received,
+            offsets=offsets,
+            ecn=ecn,
         )
 
     @property
@@ -142,8 +212,9 @@ class CcfbReport:
         12 bytes RTCP framing) — identical to ``len(to_bytes()) + 12``
         but without serializing on the simulator hot path.
         """
-        blocks = 2 * len(self.reports)
-        if len(self.reports) % 2:
+        count = len(self.received)
+        blocks = 2 * count
+        if count % 2:
             blocks += 2
         return 8 + blocks + 4 + 12
 
@@ -160,12 +231,15 @@ class CcfbRecorder:
         highest received one (Ericsson default 64; paper raises it to
         256). Packets that slide below the window without having been
         reported are never acknowledged — the false-loss mechanism of
-        Section 4.2.1.
+        Section 4.2.1. At most half the 16-bit sequence space, beyond
+        which "below the window" and "inside it" are ambiguous.
     """
 
     def __init__(self, ssrc: int, *, ack_window: int = 64) -> None:
-        if ack_window < 1:
-            raise ValueError(f"ack_window must be >= 1, got {ack_window}")
+        if not 1 <= ack_window <= _SEQ_HALF:
+            raise ValueError(
+                f"ack_window must be in [1, {_SEQ_HALF}], got {ack_window}"
+            )
         self.ssrc = ssrc
         self.ack_window = ack_window
         self._arrivals: dict[int, float] = {}
@@ -175,12 +249,17 @@ class CcfbRecorder:
 
     def on_packet(self, sequence: int, arrival: float) -> None:
         """Record arrival of RTP sequence number ``sequence``."""
-        if sequence not in self._arrivals:
+        arrivals = self._arrivals
+        if sequence not in arrivals:
             self._order.append(sequence)
-        self._arrivals[sequence] = arrival
-        if self._highest is None or seq_distance(self._highest, sequence) > 0:
+        arrivals[sequence] = arrival
+        highest = self._highest
+        # seq_distance(highest, sequence) > 0, inline.
+        if highest is None or 0 < (sequence - highest) % SEQ_MOD < _SEQ_HALF:
             self._highest = sequence
-        self._garbage_collect()
+        # The collector's own loop guard: below it a call evicts nothing.
+        if len(arrivals) > 4 * self.ack_window:
+            self._garbage_collect()
 
     def _garbage_collect(self) -> None:
         # Evict arrivals far below the report window in insertion
@@ -188,44 +267,53 @@ class CcfbRecorder:
         horizon = self._highest
         if horizon is None:
             return
-        while (
-            self._evict_at < len(self._order)
-            and len(self._arrivals) > 4 * self.ack_window
-        ):
-            seq = self._order[self._evict_at]
-            if seq in self._arrivals and seq_distance(seq, horizon) >= 2 * self.ack_window:
-                del self._arrivals[seq]
-                self._evict_at += 1
-            elif seq not in self._arrivals:
-                self._evict_at += 1
+        arrivals = self._arrivals
+        order = self._order
+        limit = 4 * self.ack_window
+        far = 2 * self.ack_window
+        evict_at = self._evict_at
+        while evict_at < len(order) and len(arrivals) > limit:
+            seq = order[evict_at]
+            if seq not in arrivals:
+                evict_at += 1
+            elif far <= (horizon - seq) % SEQ_MOD < _SEQ_HALF:
+                # seq_distance(seq, horizon) >= far, inline.
+                del arrivals[seq]
+                evict_at += 1
             else:
                 break
-        if self._evict_at > 10_000:
-            del self._order[: self._evict_at]
-            self._evict_at = 0
+        if evict_at > 10_000:
+            del order[:evict_at]
+            evict_at = 0
+        self._evict_at = evict_at
 
     def build_report(self, now: float) -> CcfbReport | None:
-        """Build the periodic report, or ``None`` before any packet."""
+        """Build the periodic report, or ``None`` before any packet.
+
+        One pass over the window's arrivals fills the columns; the
+        window is split where the sequence space wraps.
+        """
         if self._highest is None:
             return None
         count = self.ack_window
         begin = (self._highest - count + 1) % SEQ_MOD
-        reports: list[CcfbPacketReport] = []
-        for i in range(count):
-            seq = (begin + i) % SEQ_MOD
-            arrival = self._arrivals.get(seq)
-            if arrival is None:
-                reports.append(CcfbPacketReport(received=False))
-            else:
-                reports.append(
-                    CcfbPacketReport(
-                        received=True,
-                        arrival_offset=max(0.0, now - arrival),
-                    )
-                )
+        end = begin + count
+        get = self._arrivals.get
+        if end <= SEQ_MOD:
+            arrivals = list(map(get, range(begin, end)))
+        else:
+            arrivals = list(map(get, range(begin, SEQ_MOD)))
+            arrivals += map(get, range(end - SEQ_MOD))
         return CcfbReport(
             ssrc=self.ssrc,
             begin_seq=begin,
             report_timestamp=now,
-            reports=reports,
+            received=[arrival is not None for arrival in arrivals],
+            # max(0.0, now - arrival), as max returns it.
+            offsets=[
+                None
+                if arrival is None
+                else (offset if (offset := now - arrival) > 0.0 else 0.0)
+                for arrival in arrivals
+            ],
         )

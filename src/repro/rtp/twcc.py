@@ -25,6 +25,8 @@ DELTA_UNIT = 0.00025
 #: Resolution of the reference time field (64 milliseconds).
 REFERENCE_UNIT = 0.064
 
+_SEQ_HALF = SEQ_MOD // 2
+
 _STATUS_NOT_RECEIVED = 0
 _STATUS_SMALL_DELTA = 1
 _STATUS_LARGE_DELTA = 2
@@ -59,7 +61,7 @@ class TwccFeedback:
         return len(self.arrivals)
 
     def iter_packets(self) -> list[tuple[int, float | None]]:
-        """Yield ``(transport_seq, arrival_or_None)`` pairs."""
+        """Return ``(transport_seq, arrival_or_None)`` pairs in order."""
         return [
             ((self.base_seq + i) % SEQ_MOD, arrival)
             for i, arrival in enumerate(self.arrivals)
@@ -164,18 +166,25 @@ class TwccFeedback:
 class TwccRecorder:
     """Receiver-side bookkeeping that produces TWCC feedback messages."""
 
-    def __init__(self, *, max_tracked: int = 10_000) -> None:
+    def __init__(self) -> None:
         self._arrivals: dict[int, float] = {}
         self._next_base: int | None = None
         self._highest: int | None = None
         self._feedback_count = 0
-        self._max_tracked = max_tracked
 
     def on_packet(self, transport_seq: int, arrival: float) -> None:
-        """Record the arrival of transport-wide sequence ``transport_seq``."""
-        self._arrivals[transport_seq] = arrival
-        if self._next_base is None:
+        """Record the arrival of transport-wide sequence ``transport_seq``.
+
+        An arrival behind the next feedback's base was covered by an
+        earlier feedback (or precedes the first packet) and can never
+        be reported, so it is dropped instead of kept forever.
+        """
+        next_base = self._next_base
+        if next_base is None:
             self._next_base = transport_seq
+        elif (transport_seq - next_base) % SEQ_MOD >= _SEQ_HALF:
+            return  # seq_distance(next_base, transport_seq) < 0, inline
+        self._arrivals[transport_seq] = arrival
         if self._highest is None or seq_less_than_or_equal(
             self._highest, transport_seq
         ):

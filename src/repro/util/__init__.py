@@ -9,7 +9,12 @@ from repro.util.units import (
     to_ms,
 )
 from repro.util.rng import RngStreams
-from repro.util.running import EwmaFilter, RunningMinMax, WindowedMinMax
+from repro.util.running import (
+    EwmaFilter,
+    RunningMinMax,
+    WindowedExtremum,
+    WindowedMinMax,
+)
 
 __all__ = [
     "bits_to_bytes",
@@ -21,5 +26,6 @@ __all__ = [
     "RngStreams",
     "EwmaFilter",
     "RunningMinMax",
+    "WindowedExtremum",
     "WindowedMinMax",
 ]

@@ -70,63 +70,82 @@ class RunningMinMax:
         return self.maximum - self.minimum
 
 
-class WindowedMinMax:
-    """Minimum/maximum over a sliding time window.
+class WindowedExtremum:
+    """Minimum (or maximum) of timestamped samples over a sliding window.
 
-    Samples are ``(timestamp, value)`` pairs; old samples expire once
-    they fall outside ``window`` seconds of the latest timestamp. Used
-    by SCReAM's base-delay tracking and the handover latency-ratio
-    analysis (Fig. 9).
-
-    Implemented with monotonic deques so :meth:`update`,
-    :attr:`minimum` and :attr:`maximum` are all O(1) amortized — this
-    sits on the per-ack hot path of the SCReAM controller.
+    One monotonic deque of ``(time, value)`` pairs: each update drops
+    the newer-side entries the sample dominates (ties included, so the
+    newest of equal values survives longest), appends the sample and
+    expires entries older than ``now - window``. ``value`` is the
+    extremum after the last update (``nan`` before the first); reads
+    do not expire anything. ``update`` and ``value`` are O(1) amortized,
+    which is what SCReAM's per-ack base delay and per-send
+    bytes-in-flight ceiling need.
     """
 
-    def __init__(self, window: float) -> None:
+    __slots__ = ("window", "value", "_entries", "_maximum")
+
+    def __init__(self, window: float, *, maximum: bool = False) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
-        self._count = 0
-        # Monotonic deques of (time, value): _mins ascending values,
-        # _maxs descending values.
-        self._mins: deque[tuple[float, float]] = deque()
-        self._maxs: deque[tuple[float, float]] = deque()
+        self.value = math.nan
+        self._maximum = maximum
+        self._entries: deque[tuple[float, float]] = deque()
+
+    def update(self, now: float, value: float) -> float:
+        """Add a sample at time ``now``; returns the new extremum."""
+        value = float(value)
+        entries = self._entries
+        if self._maximum:
+            while entries and entries[-1][1] <= value:
+                entries.pop()
+        else:
+            while entries and entries[-1][1] >= value:
+                entries.pop()
+        entries.append((now, value))
+        # The sample just added never expires, so the deque stays
+        # non-empty.
+        horizon = now - self.window
+        while entries[0][0] < horizon:
+            entries.popleft()
+        self.value = entries[0][1]
+        return self.value
+
+
+class WindowedMinMax:
+    """Minimum and maximum over a sliding time window.
+
+    Samples are ``(timestamp, value)`` pairs; old samples expire once
+    they fall outside ``window`` seconds of the latest timestamp. Two
+    :class:`WindowedExtremum` trackers hold the extrema; a timestamp
+    deque counts the live samples for ``len``.
+    """
+
+    def __init__(self, window: float) -> None:
+        self._min = WindowedExtremum(window)
+        self._max = WindowedExtremum(window, maximum=True)
+        self.window = window
         self._times: deque[float] = deque()
 
     def update(self, now: float, value: float) -> None:
         """Add a sample at time ``now`` and expire stale entries."""
-        value = float(value)
+        self._min.update(now, value)
+        self._max.update(now, value)
         self._times.append(now)
-        self._count += 1
-        while self._mins and self._mins[-1][1] >= value:
-            self._mins.pop()
-        self._mins.append((now, value))
-        while self._maxs and self._maxs[-1][1] <= value:
-            self._maxs.pop()
-        self._maxs.append((now, value))
         horizon = now - self.window
         while self._times and self._times[0] < horizon:
             self._times.popleft()
-            self._count -= 1
-        while self._mins and self._mins[0][0] < horizon:
-            self._mins.popleft()
-        while self._maxs and self._maxs[0][0] < horizon:
-            self._maxs.popleft()
 
     @property
     def minimum(self) -> float:
         """Smallest value in the window (``nan`` when empty)."""
-        if not self._mins:
-            return math.nan
-        return self._mins[0][1]
+        return self._min.value
 
     @property
     def maximum(self) -> float:
         """Largest value in the window (``nan`` when empty)."""
-        if not self._maxs:
-            return math.nan
-        return self._maxs[0][1]
+        return self._max.value
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._times)

@@ -9,9 +9,10 @@ standard library and dataclass-generated ``__init__`` methods stay
 out, so the figure does not move between Python versions.
 
 No wall-clock assertion. Each ceiling sits a few calls above what the
-media path makes (about 43, 56 and 68); a path that recomputes
+media path makes (about 43, 55 and 59); a path that recomputes
 ``wire_size`` on every read and pays ``max`` and helper hops on every
-packet makes about 70, 86 and 100.
+packet makes about 70, 86 and 100, and SCReAM feedback built as one
+object per report position and walked position by position makes 68.
 
 The metrics tier is gated the same way, as the calls it adds per sent
 packet over obs off. Its per-packet metrics are folds of the run's
@@ -30,6 +31,7 @@ import pytest
 import repro
 from repro.core.config import ScenarioConfig
 from repro.core.session import run_session
+from repro.rtp.ccfb import CcfbPacketReport
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -59,7 +61,7 @@ def repro_calls_per_packet(config: ScenarioConfig, obs: str = "off") -> float:
 
 @pytest.mark.parametrize(
     ("cc", "duration", "ceiling"),
-    [("static", 5.0, 48.0), ("gcc", 10.0, 60.0), ("scream", 10.0, 74.0)],
+    [("static", 5.0, 48.0), ("gcc", 10.0, 60.0), ("scream", 10.0, 64.0)],
 )
 def test_repro_calls_per_sent_packet(cc, duration, ceiling):
     config = ScenarioConfig(
@@ -67,6 +69,25 @@ def test_repro_calls_per_sent_packet(cc, duration, ceiling):
     )
     assert repro_calls_per_packet(config) <= ceiling
 
+
+def test_scream_session_builds_no_per_packet_reports(monkeypatch):
+    """RFC 8888 reports travel as columns: the media path builds no
+    :class:`CcfbPacketReport` (one per window position would be 256 per
+    report at the default ack window)."""
+    built = []
+    original = CcfbPacketReport.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CcfbPacketReport, "__init__", counting_init)
+    config = ScenarioConfig(
+        cc="scream", environment="urban", platform="air", duration=10.0, seed=3
+    )
+    result = run_session(config)
+    assert result.packets_sent > 0 and result.cc_log
+    assert built == []
 
 
 @pytest.mark.parametrize(

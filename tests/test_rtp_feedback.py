@@ -90,6 +90,22 @@ class TestTwccRecorder:
         assert second.base_seq == 2
         assert second.packet_status_count == 1
 
+    def test_late_arrivals_are_not_kept(self):
+        """An arrival behind the next feedback's base can never be
+        reported again, so the recorder does not keep it."""
+        recorder = TwccRecorder()
+        for seq in range(10):
+            recorder.on_packet(seq, 1.0 + seq * 0.001)
+        recorder.build_feedback()
+        assert len(recorder._arrivals) == 0
+        for seq in (3, 7, 9):
+            recorder.on_packet(seq, 1.1)
+        assert len(recorder._arrivals) == 0
+        recorder.on_packet(10, 1.2)
+        feedback = recorder.build_feedback()
+        assert feedback.base_seq == 10 and feedback.packet_status_count == 1
+        assert len(recorder._arrivals) == 0
+
     def test_feedback_count_increments(self):
         recorder = TwccRecorder()
         recorder.on_packet(0, 1.0)
