@@ -27,6 +27,11 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
+from repro.core.packet_log import as_packet_log
+
+#: The packet-log columns a session fingerprint covers, in its order.
+_PACKET_COLUMNS = ("sequence", "sent_at", "received_at", "size_bytes")
+
 
 def _handover_tuples(handovers: "list[Any]") -> tuple:
     return tuple(
@@ -49,10 +54,7 @@ def session_fingerprint(result: Any) -> tuple:
         result.cells_seen,
         result.packets_lost_radio,
         result.packets_dropped_buffer,
-        tuple(
-            (entry.sequence, entry.sent_at, entry.received_at, entry.size_bytes)
-            for entry in result.packet_log
-        ),
+        tuple(zip(*map(as_packet_log(result.packet_log).column, _PACKET_COLUMNS))),
         tuple(
             (
                 record.frame_id,

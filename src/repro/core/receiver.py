@@ -10,12 +10,9 @@ active congestion controller needs (TWCC for GCC every ~50 ms, RFC
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-
-import numpy as np
-
 from repro.cc.base import CongestionController, FeedbackKind
+# PacketLogEntry is exported from here too: pickles name it here.
+from repro.core.packet_log import PacketLog, PacketLogEntry  # noqa: F401
 from repro.net.packet import Datagram, IP_UDP_OVERHEAD_BYTES
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop, PeriodicTimer
@@ -35,17 +32,6 @@ RECEIVER_REPORT_INTERVAL = 1.0
 OWD_SAMPLE_INTERVAL = 0.05
 from repro.video.decoder import DecoderModel
 from repro.video.player import Player
-
-
-@dataclass(slots=True)
-class PacketLogEntry:
-    """Per-packet transport log (the tcpdump equivalent)."""
-
-    sequence: int
-    sent_at: float
-    received_at: float
-    size_bytes: int
-    frame_id: int
 
 
 class VideoReceiver:
@@ -105,7 +91,16 @@ class VideoReceiver:
             drop_on_latency=drop_on_latency,
             obs=obs,
         )
-        self.packet_log: list[PacketLogEntry] = []
+        #: The per-packet transport log, appended to column by column
+        #: through the five bound ``list.append`` methods below.
+        self.packet_log = PacketLog()
+        (
+            self._log_sequence,
+            self._log_sent_at,
+            self._log_received_at,
+            self._log_size,
+            self._log_frame,
+        ) = self.packet_log.appenders()
         self._twcc: TwccRecorder | None = None
         self._ccfb: CcfbRecorder | None = None
         if controller.feedback_kind is FeedbackKind.TWCC:
@@ -156,17 +151,9 @@ class VideoReceiver:
             self._owd_anomaly.finish(now)
             log = self.packet_log
             if log:
-                # map + attrgetter read the log in C: no Python frame
-                # and no intermediate list per packet.
-                n = len(log)
-                obs.count("receiver/packets", n)
-                obs.count(
-                    "receiver/bytes", sum(map(attrgetter("size_bytes"), log))
-                )
-                owd = np.fromiter(
-                    map(attrgetter("received_at"), log), np.float64, n
-                )
-                owd -= np.fromiter(map(attrgetter("sent_at"), log), np.float64, n)
+                obs.count("receiver/packets", len(log))
+                obs.count("receiver/bytes", sum(log.column("size_bytes")))
+                owd = log.array("received_at") - log.array("sent_at")
                 obs.observe_many("receiver/owd_ms", to_ms(owd))
             released = self.jitter_buffer.released_packets
             if released:
@@ -204,9 +191,11 @@ class VideoReceiver:
         sequence = packet.sequence
         size = packet.wire_size
         self.accountant.on_packet(sequence, packet.timestamp, now)
-        self.packet_log.append(
-            PacketLogEntry(sequence, datagram.sent_at, now, size, packet.frame_id)
-        )
+        self._log_sequence(sequence)
+        self._log_sent_at(datagram.sent_at)
+        self._log_received_at(now)
+        self._log_size(size)
+        self._log_frame(packet.frame_id)
         if self._twcc is not None and packet.transport_seq is not None:
             self._twcc.on_packet(packet.transport_seq, now)
         if self._ccfb is not None:

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 from typing import Any
 
-import numpy as np
-
 from repro.cc.base import CongestionController, StaticBitrateController
 from repro.cc.gcc import GccController
 from repro.cc.scream import ScreamController
@@ -38,7 +36,16 @@ from repro.cellular.layout import CellLayout
 from repro.cellular.operators import get_profile
 from repro.cellular.propagation import PropagationConfig
 from repro.core.config import CcAlgorithm, Environment, Platform, ScenarioConfig
-from repro.core.receiver import PacketLogEntry, VideoReceiver
+from repro.core.packet_log import (
+    PacketLog,
+    as_packet_log,
+    check_fields,
+    decode_column,
+    decode_packet_log,
+    encode_column,
+    field_names,
+)
+from repro.core.receiver import VideoReceiver
 from repro.core.sender import SenderStats, VideoSender
 from repro.flight.trajectory import (
     WaypointTrajectory,
@@ -67,14 +74,19 @@ from repro.video.source import SourceVideo
 class SessionResult:
     """All artifacts of one simulated measurement run.
 
-    Pickles column-wise (:meth:`__reduce__`): each record log is stored
-    as one typed buffer per record field, and every record is rebuilt
-    on load with the exact field types it was stored with.
+    ``packet_log`` is a column table (:class:`PacketLog`); a list of
+    :class:`PacketLogEntry` records passed in is coerced to one.
+
+    Pickles column-wise (:meth:`__reduce__`): the packet log and each
+    other record log are stored as one typed buffer per record field.
+    On load the packet log keeps its buffers, and every record of the
+    other logs is rebuilt with the exact field types it was stored
+    with.
     """
 
     config: ScenarioConfig
     duration: float
-    packet_log: list[PacketLogEntry]
+    packet_log: PacketLog
     playback: list[PlaybackRecord]
     handovers: list[HandoverEvent]
     capacity_samples: list[CapacitySample]
@@ -88,6 +100,9 @@ class SessionResult:
     frames_decoded: int = 0
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.packet_log = as_packet_log(self.packet_log)
+
     @property
     def packet_loss_rate(self) -> float:
         """End-to-end fraction of sent packets that never arrived."""
@@ -100,73 +115,31 @@ class SessionResult:
         # Result-cache entries and pool hand-backs both pickle through
         # here. A 30 s session logs ~25k packets, and a pickled object
         # per record costs ~3.6 us to load; a column costs one buffer.
-        names = _field_names(type(self))
+        names = field_names(type(self))
         logs = {}
+        packet_log = as_packet_log(self.packet_log)
+        if packet_log:
+            logs["packet_log"] = packet_log.encode()
         for name in _RECORD_LOGS:
             encoded = _encode_log(getattr(self, name))
             if encoded is not None:
                 logs[name] = encoded
-        values = tuple(
-            None if name in logs else getattr(self, name) for name in names
-        )
+        # An empty packet log pickles as the empty list it was before
+        # it became a column table, so its bytes stay what they were.
+        state = {**vars(self), "packet_log": []}
+        values = tuple(None if name in logs else state[name] for name in names)
         return _rebuild_session_result, (type(self), names, values, logs)
 
 
-#: The :class:`SessionResult` fields that hold one record per entry.
+#: The :class:`SessionResult` fields besides ``packet_log`` that hold
+#: one record per entry.
 _RECORD_LOGS = (
-    "packet_log",
     "playback",
     "handovers",
     "capacity_samples",
     "rssi_log",
     "cc_log",
 )
-
-#: Exact element type -> dtype of the buffer that column pickles as.
-#: ``bool`` is its own type here, never an ``int``; ``numpy.float64``
-#: columns (batched sweeps) stay apart from ``float`` ones (scalar
-#: runs) because their ``repr`` differs and the digests pin it.
-_COLUMN_DTYPES = {
-    float: np.float64,
-    np.float64: np.float64,
-    int: np.int64,
-    bool: np.bool_,
-}
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _check_fields(cls: type, names: tuple[str, ...]) -> None:
-    current = _field_names(cls)
-    if names != current:
-        raise ValueError(
-            f"stale {cls.__name__} payload: fields {names}, class has {current}"
-        )
-
-
-def _encode_column(values: list) -> Any:
-    """``(type, buffer)`` if every value has one buffer type, else ``values``."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        (kind,) = kinds
-        dtype = _COLUMN_DTYPES.get(kind)
-        if dtype is not None:
-            try:
-                return kind, np.array(values, dtype=dtype)
-            except OverflowError:  # an int beyond int64
-                pass
-    return values
-
-
-def _decode_column(column: Any) -> list:
-    if type(column) is list:
-        return column
-    kind, buffer = column
-    # Iterating a float64 array yields numpy.float64 scalars;
-    # ``tolist`` yields Python floats, ints and bools.
-    return list(buffer) if kind is np.float64 else buffer.tolist()
 
 
 def _encode_log(records: Any) -> tuple | None:
@@ -188,9 +161,9 @@ def _encode_log(records: Any) -> tuple | None:
         or not all(f.init for f in fields(cls))
     ):
         return None
-    names = _field_names(cls)
+    names = field_names(cls)
     columns = tuple(
-        _encode_column(list(map(attrgetter(name), records))) for name in names
+        encode_column(list(map(attrgetter(name), records))) for name in names
     )
     return cls, names, columns
 
@@ -198,17 +171,22 @@ def _encode_log(records: Any) -> tuple | None:
 def _rebuild_session_result(
     cls: type, names: tuple[str, ...], values: tuple, logs: dict
 ) -> SessionResult:
-    """Unpickle :meth:`SessionResult.__reduce__`'s form, every record eagerly.
+    """Unpickle :meth:`SessionResult.__reduce__`'s form.
 
-    Raises ``ValueError`` when the recorded field names of the result
-    or of a record class differ from the current class, so a stale
-    cache entry is evicted instead of loading with fields permuted.
+    The packet log keeps its encoded columns; the other logs' records
+    are rebuilt eagerly. Raises ``ValueError`` when the recorded field
+    names of the result or of a record class differ from the current
+    class, so a stale cache entry is evicted instead of loading with
+    fields permuted.
     """
-    _check_fields(cls, names)
+    check_fields(cls, names)
     kwargs = dict(zip(names, values))
     for name, (record_cls, record_names, columns) in logs.items():
-        _check_fields(record_cls, record_names)
-        kwargs[name] = list(map(record_cls, *map(_decode_column, columns)))
+        if name == "packet_log":
+            kwargs[name] = decode_packet_log(record_cls, record_names, columns)
+            continue
+        check_fields(record_cls, record_names)
+        kwargs[name] = list(map(record_cls, *map(decode_column, columns)))
     return cls(**kwargs)
 
 

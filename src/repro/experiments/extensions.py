@@ -149,11 +149,9 @@ def multipath_experiment(
     points = []
 
     def summarize(strategy, packet_logs, playbacks, radio_cost):
-        delays = [
-            entry.received_at - entry.sent_at
-            for log in packet_logs
-            for entry in log
-        ]
+        delays: list[float] = []
+        for log in packet_logs:
+            delays.extend(one_way_delays(log))
         playback_vals = []
         stalls = 0.0
         for playback in playbacks:

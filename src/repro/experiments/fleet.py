@@ -28,6 +28,7 @@ from repro.core.config import ScenarioConfig
 from repro.core.fleet import FleetResult
 from repro.experiments.campaign import _resolve_runner
 from repro.experiments.settings import ExperimentSettings
+from repro.metrics.network import delivered_bytes
 from repro.metrics.video import VideoSummary
 from repro.obs import DiagnosisSummary, ObsLevel
 from repro.obs.attribute import CELL_CONGESTION
@@ -140,11 +141,7 @@ def _session_goodput(result, warmup: float) -> float:
     window = result.duration - warmup
     if window <= 0.0:
         return 0.0
-    received = sum(
-        entry.size_bytes
-        for entry in result.packet_log
-        if entry.received_at >= warmup
-    )
+    received = delivered_bytes(result.packet_log, since=warmup)
     return bytes_to_bits(received) / window
 
 

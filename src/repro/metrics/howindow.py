@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cellular.handover import HandoverEvent
-from repro.core.receiver import PacketLogEntry
+from repro.core.packet_log import PacketLog, PacketLogEntry, as_packet_log
 from repro.metrics.stats import BoxplotSummary
 
 
@@ -52,7 +52,7 @@ def latency_ratio_in_window(
 
 
 def handover_latency_ratios(
-    packet_log: list[PacketLogEntry],
+    packet_log: PacketLog | list[PacketLogEntry],
     handovers: list[HandoverEvent],
     *,
     window: float = 1.0,
@@ -64,12 +64,11 @@ def handover_latency_ratios(
     contributes its (large) delay to the *before* window — which is
     why the paper finds the bigger spikes before handovers.
     """
-    if not packet_log:
+    log = as_packet_log(packet_log)
+    if not log:
         return []
-    times = np.asarray([entry.sent_at for entry in packet_log])
-    delays = np.asarray(
-        [entry.received_at - entry.sent_at for entry in packet_log]
-    )
+    times = log.array("sent_at")
+    delays = log.array("received_at") - times
     ratios: list[HoWindowRatio] = []
     for event in handovers:
         t_start = event.time

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cellular.handover import HET_SUCCESS_THRESHOLD, HandoverEvent
-from repro.core.receiver import PacketLogEntry
+from repro.core.packet_log import PacketLog, PacketLogEntry, as_packet_log
 from repro.core.session import SessionResult
 from repro.metrics.stats import BoxplotSummary, Cdf, windowed_rate
+from repro.rtp.packets import SEQ_MOD
 from repro.util.units import bytes_to_bits, to_mbps, to_ms
 
 
@@ -53,26 +54,32 @@ class HandoverMetrics:
         return BoxplotSummary.from_samples(self.het_seconds)
 
 
-def one_way_delays(packet_log: list[PacketLogEntry]) -> list[float]:
-    """Per-packet one-way delay samples (seconds)."""
-    return [entry.received_at - entry.sent_at for entry in packet_log]
+def _delays(packet_log: PacketLog | list[PacketLogEntry]) -> np.ndarray:
+    log = as_packet_log(packet_log)
+    return log.array("received_at") - log.array("sent_at")
 
 
-def owd_cdf(packet_log: list[PacketLogEntry]) -> Cdf:
+def one_way_delays(packet_log: PacketLog | list[PacketLogEntry]) -> list[float]:
+    """Per-packet one-way delay samples (seconds), as Python floats."""
+    return _delays(packet_log).tolist()
+
+
+def owd_cdf(packet_log: PacketLog | list[PacketLogEntry]) -> Cdf:
     """Empirical one-way-delay CDF (Fig. 5)."""
-    return Cdf.from_samples(one_way_delays(packet_log))
+    return Cdf.from_samples(_delays(packet_log))
 
 
 def goodput_series(
-    packet_log: list[PacketLogEntry],
+    packet_log: PacketLog | list[PacketLogEntry],
     *,
     window: float = 1.0,
     duration: float | None = None,
 ) -> list[tuple[float, float]]:
     """Received-rate time series in bits/s per ``window`` seconds."""
+    log = as_packet_log(packet_log)
     return windowed_rate(
-        [entry.received_at for entry in packet_log],
-        [entry.size_bytes for entry in packet_log],
+        log.array("received_at"),
+        log.array("size_bytes"),
         window=window,
         t_start=0.0,
         t_end=duration,
@@ -80,7 +87,7 @@ def goodput_series(
 
 
 def goodput_summary(
-    packet_log: list[PacketLogEntry],
+    packet_log: PacketLog | list[PacketLogEntry],
     *,
     duration: float,
     warmup: float = 0.0,
@@ -98,17 +105,35 @@ def goodput_summary(
     return BoxplotSummary.from_samples(series)
 
 
+def delivered_bytes(
+    packet_log: PacketLog | list[PacketLogEntry], *, since: float = 0.0
+) -> int:
+    """Bytes of the packets received at or after ``since`` seconds."""
+    log = as_packet_log(packet_log)
+    sizes = log.array("size_bytes")
+    return int(sizes[log.array("received_at") >= since].sum())
+
+
 def average_goodput(
-    packet_log: list[PacketLogEntry], *, duration: float, warmup: float = 0.0
+    packet_log: PacketLog | list[PacketLogEntry],
+    *,
+    duration: float,
+    warmup: float = 0.0,
 ) -> float:
     """Mean received rate in bits/s over the run (after ``warmup``)."""
-    total = sum(
-        entry.size_bytes
-        for entry in packet_log
-        if entry.received_at >= warmup
-    )
+    total = delivered_bytes(packet_log, since=warmup)
     span = max(duration - warmup, 1e-9)
     return bytes_to_bits(total) / span
+
+
+def sequence_gaps(packet_log: PacketLog | list[PacketLogEntry]) -> np.ndarray:
+    """Sequence-number step from each received packet to the next.
+
+    The receive path is FIFO, so arrival order equals send order and a
+    step of ``k`` between consecutive received sequence numbers (mod
+    2^16) means ``k - 1`` packets were dropped back to back.
+    """
+    return np.diff(as_packet_log(packet_log).array("sequence")) % SEQ_MOD
 
 
 @dataclass
@@ -127,7 +152,7 @@ class LossMetrics:
         delivered = len(result.packet_log)
         loss_rate = max(0.0, 1.0 - delivered / sent) if sent else 0.0
         bursts = _loss_burst_lengths(result.packet_log)
-        mean_burst = float(np.mean(bursts)) if bursts else 0.0
+        mean_burst = float(np.mean(bursts)) if bursts.size else 0.0
         return cls(
             sent=sent,
             delivered=delivered,
@@ -136,36 +161,24 @@ class LossMetrics:
         )
 
 
-def _loss_burst_lengths(packet_log: list[PacketLogEntry]) -> list[int]:
-    """Lengths of consecutive sequence-number gaps in the receive log.
-
-    The receive path is FIFO, so arrival order equals send order and a
-    jump of ``k`` in consecutive received frame-local sequence numbers
-    means ``k - 1`` packets were dropped back to back.
-    """
-    bursts: list[int] = []
-    previous: int | None = None
-    for entry in packet_log:
-        if previous is not None:
-            gap = (entry.sequence - previous) % (1 << 16)
-            if gap > 1:
-                bursts.append(gap - 1)
-        previous = entry.sequence
-    return bursts
+def _loss_burst_lengths(packet_log: PacketLog | list[PacketLogEntry]) -> np.ndarray:
+    """Lengths of the runs of packets lost back to back."""
+    gaps = sequence_gaps(packet_log)
+    return gaps[gaps > 1] - 1
 
 
 def network_summary(result: SessionResult) -> dict[str, float]:
     """One-line network summary for reports."""
     handovers = HandoverMetrics.from_events(result.handovers, result.duration)
     loss = LossMetrics.from_result(result)
-    owds = one_way_delays(result.packet_log)
+    owds = _delays(result.packet_log)
     return {
         "ho_per_s": handovers.frequency_per_s,
         "het_median_ms": to_ms(float(np.median(handovers.het_seconds)))
         if handovers.het_seconds
         else 0.0,
-        "owd_median_ms": to_ms(float(np.median(owds))) if owds else 0.0,
-        "owd_p99_ms": to_ms(float(np.percentile(owds, 99))) if owds else 0.0,
+        "owd_median_ms": to_ms(float(np.median(owds))) if owds.size else 0.0,
+        "owd_p99_ms": to_ms(float(np.percentile(owds, 99))) if owds.size else 0.0,
         "goodput_mbps": to_mbps(
             average_goodput(result.packet_log, duration=result.duration)
         ),

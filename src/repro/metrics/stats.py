@@ -64,8 +64,10 @@ class Cdf:
 
     @classmethod
     def from_samples(cls, samples: Iterable[float]) -> "Cdf":
-        """Build from raw samples."""
-        arr = np.sort(np.asarray(list(samples), dtype=float))
+        """Build from raw samples (an array is read as it is)."""
+        if not isinstance(samples, np.ndarray):
+            samples = list(samples)
+        arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise ValueError("cannot build CDF from empty sample set")
         return cls(values=arr)

@@ -29,7 +29,8 @@ from repro.cellular.channel import CellularChannel
 from repro.cellular.handover import HandoverEvent
 from repro.cellular.operators import get_profile
 from repro.core.config import CcAlgorithm, ScenarioConfig
-from repro.core.receiver import PacketLogEntry, VideoReceiver
+from repro.core.packet_log import PacketLog
+from repro.core.receiver import VideoReceiver
 from repro.core.sender import SenderStats, VideoSender
 from repro.core.session import build_channel_config, build_trajectory
 from repro.net.loss import GilbertElliottLoss
@@ -128,7 +129,7 @@ class MultipathResult:
     config: ScenarioConfig
     mode: str
     duration: float
-    packet_log: list[PacketLogEntry]
+    packet_log: PacketLog
     playback: list[PlaybackRecord]
     handovers_per_path: list[list[HandoverEvent]]
     sender_stats: SenderStats

@@ -257,22 +257,24 @@ class CcfbRecorder:
         # seq_distance(highest, sequence) > 0, inline.
         if highest is None or 0 < (sequence - highest) % SEQ_MOD < _SEQ_HALF:
             self._highest = sequence
-        # The collector's own loop guard: below it a call evicts nothing.
         if len(arrivals) > 4 * self.ack_window:
             self._garbage_collect()
 
     def _garbage_collect(self) -> None:
-        # Evict arrivals far below the report window in insertion
-        # order — O(1) amortized per packet.
+        # Evict, in insertion order, every arrival at least two windows
+        # below the highest, up to the first nearer one. That leaves
+        # about two windows of arrivals, so the next call comes about
+        # two windows of packets later: O(1) amortized per packet.
+        # Reports read only the last window, and every arrival within
+        # two windows stays, so no report depends on the batch size.
         horizon = self._highest
         if horizon is None:
             return
         arrivals = self._arrivals
         order = self._order
-        limit = 4 * self.ack_window
         far = 2 * self.ack_window
         evict_at = self._evict_at
-        while evict_at < len(order) and len(arrivals) > limit:
+        while evict_at < len(order):
             seq = order[evict_at]
             if seq not in arrivals:
                 evict_at += 1

@@ -11,10 +11,12 @@ through a temp file + ``os.replace`` so a crashed run never leaves a
 truncated entry behind. A :class:`~repro.core.session.SessionResult`
 (alone or inside a :class:`~repro.core.fleet.FleetResult`) pickles
 column-wise: each field of its per-packet, playback, handover,
-capacity, RSSI and CC logs is one typed buffer, rebuilt into records
-on load, instead of one pickled object per record. The cache adds no
-format of its own; the encoding lives at the ``SessionResult``
-boundary, so the worker pool's result hand-back uses it too.
+capacity, RSSI and CC logs is one typed buffer instead of one pickled
+object per record. On load the packet log keeps its buffers and
+builds no record (:class:`~repro.core.packet_log.PacketLog`); the
+other logs are rebuilt into records. The cache adds no format of its
+own; the encoding lives at the ``SessionResult`` boundary, so the
+worker pool's result hand-back uses it too.
 
 An entry that fails to load — truncated, corrupt, or written for
 record classes whose fields have since changed — is evicted with a

@@ -11,9 +11,10 @@ trip the paper's parsing scripts perform on the real captures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from repro.core.packet_log import as_packet_log
 from repro.core.session import SessionResult
 from repro.traces.schema import (
     ChannelRecord,
@@ -21,6 +22,7 @@ from repro.traces.schema import (
     PacketRecord,
     read_csv,
     write_csv,
+    write_rows,
 )
 
 PACKETS_FILE = "packets.csv"
@@ -48,19 +50,9 @@ def export_session(result: SessionResult, directory: Path | str) -> Path:
     """Write ``result`` as a dataset run directory; returns the path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        directory / PACKETS_FILE,
-        [
-            PacketRecord(
-                sequence=entry.sequence,
-                sent_at=entry.sent_at,
-                received_at=entry.received_at,
-                size_bytes=entry.size_bytes,
-                frame_id=entry.frame_id,
-            )
-            for entry in result.packet_log
-        ],
-    )
+    log = as_packet_log(result.packet_log)
+    names = [f.name for f in fields(PacketRecord)]
+    write_rows(directory / PACKETS_FILE, names, zip(*map(log.column, names)))
     write_csv(
         directory / HANDOVERS_FILE,
         [

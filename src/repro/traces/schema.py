@@ -21,7 +21,7 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Type, TypeVar
+from typing import Iterable, Sequence, Type, TypeVar
 
 T = TypeVar("T")
 
@@ -72,18 +72,32 @@ _CASTS = {int: int, float: float, str: str}
 def write_csv(path: Path | str, records: Iterable[object]) -> int:
     """Write dataclass records to ``path`` as CSV; returns row count."""
     records = list(records)
+    names = [f.name for f in fields(records[0])] if records else []
+    return write_rows(
+        path,
+        names,
+        ([getattr(record, name) for name in names] for record in records),
+    )
+
+
+def write_rows(
+    path: Path | str, names: Sequence[str], rows: Iterable[Sequence[object]]
+) -> int:
+    """Write ``rows`` under the header ``names`` as CSV; returns row count.
+
+    No rows write an empty file, without a header.
+    """
+    rows = list(rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if not records:
+    if not rows:
         path.write_text("")
         return 0
-    names = [f.name for f in fields(records[0])]
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
-        for record in records:
-            writer.writerow([getattr(record, name) for name in names])
-    return len(records)
+        writer.writerows(rows)
+    return len(rows)
 
 
 def read_csv(path: Path | str, record_type: Type[T]) -> list[T]:

@@ -507,3 +507,119 @@ def test_recorder_columns_match_per_position_build(start, window, steps, as_nump
         assert [
             (r.received, repr(r.arrival_offset), r.ecn) for r in report.reports
         ] == [(r.received, repr(r.arrival_offset), r.ecn) for r in expected]
+
+
+# ----------------------------------------------------------------------
+# (e) the recorder's batched eviction
+# ----------------------------------------------------------------------
+class EvictingToTheTrigger(CcfbRecorder):
+    """The recorder as it evicted before: only down to the trigger, so
+    after warm-up every packet evicts about one arrival."""
+
+    def _garbage_collect(self) -> None:
+        horizon = self._highest
+        arrivals = self._arrivals
+        order = self._order
+        limit = 4 * self.ack_window
+        far = 2 * self.ack_window
+        evict_at = self._evict_at
+        while evict_at < len(order) and len(arrivals) > limit:
+            seq = order[evict_at]
+            if seq not in arrivals:
+                evict_at += 1
+            elif far <= (horizon - seq) % SEQ_MOD < SEQ_MOD // 2:
+                del arrivals[seq]
+                evict_at += 1
+            else:
+                break
+        if evict_at > 10_000:
+            del order[:evict_at]
+            evict_at = 0
+        self._evict_at = evict_at
+
+
+class CountingRecorder(CcfbRecorder):
+    """The recorder, noting the packet count at each eviction pass."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.packets = 0
+        self.collections: list[int] = []
+
+    def on_packet(self, sequence, arrival) -> None:
+        self.packets += 1
+        super().on_packet(sequence, arrival)
+
+    def _garbage_collect(self) -> None:
+        self.collections.append(self.packets)
+        super()._garbage_collect()
+
+
+def _jump_limit(window: int) -> int:
+    """Largest sequence jump the streams below take at ``window``.
+
+    Jumps are kept small enough that the last ``4 * window + 1``
+    arrivals span less than half the sequence space, where "below the
+    window" is still unambiguous for both recorders; at a window whose
+    trigger exceeds the sequence space nothing is ever evicted.
+    """
+    if 4 * window >= SEQ_MOD:
+        return 1000
+    return max(2, (SEQ_MOD // 2 - 3 * window) // (4 * window + 2))
+
+
+@st.composite
+def arrival_streams(draw):
+    """An ack window and a stream of (sequence, arrival) pairs.
+
+    Runs of consecutive sequence numbers, each ended by a jump forward
+    (RTP-queue discards), a short step back (reordering) or a repeat,
+    starting close enough to 65535 to cross the 16-bit wrap.
+    """
+    window = draw(st.sampled_from([1, 2, 64, 256, 20_000]))
+    packets = 40 if window == 20_000 else 8 * window + 40
+    seq = draw(st.integers(SEQ_MOD - 2 * packets, SEQ_MOD - 1))
+    now = 0.0
+    stream = []
+    while len(stream) < packets:
+        run = draw(st.integers(1, 3 * window + 5))
+        spacing = draw(st.sampled_from([0.0, 2**-10, 0.001]))
+        step = draw(
+            st.one_of(
+                st.integers(2, _jump_limit(window)), st.integers(-3, 0)
+            )
+        )
+        for _ in range(run):
+            now += spacing
+            stream.append((seq, now))
+            seq = (seq + 1) % SEQ_MOD
+        seq = (seq - 1 + step) % SEQ_MOD
+    return window, stream[:packets]
+
+
+def _columns(report) -> tuple:
+    # Both recorders compute each offset by the same expression, so
+    # equal values have equal types.
+    return report.begin_seq, report.received, report.offsets
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrival_streams(), st.booleans())
+def test_batched_eviction_keeps_every_report(stream, as_numpy):
+    window, arrivals = stream
+    batched = CountingRecorder(ssrc=1, ack_window=window)
+    reference = EvictingToTheTrigger(ssrc=1, ack_window=window)
+    for seq, arrival in arrivals:
+        if as_numpy:
+            arrival = np.float64(arrival)
+        batched.on_packet(seq, arrival)
+        reference.on_packet(seq, arrival)
+        now = arrival + 0.002
+        assert _columns(batched.build_report(now)) == _columns(
+            reference.build_report(now)
+        )
+    # After warm-up, at most one eviction pass per ack window of packets.
+    passes = batched.collections
+    assert all(b - a >= window for a, b in zip(passes, passes[1:]))
+    if 4 * window < SEQ_MOD:
+        assert passes, "the stream never filled the recorder"

@@ -30,6 +30,7 @@ import pytest
 
 import repro
 from repro.core.config import ScenarioConfig
+from repro.core.receiver import PacketLogEntry
 from repro.core.session import run_session
 from repro.rtp.ccfb import CcfbPacketReport
 
@@ -87,6 +88,26 @@ def test_scream_session_builds_no_per_packet_reports(monkeypatch):
     )
     result = run_session(config)
     assert result.packets_sent > 0 and result.cc_log
+    assert built == []
+
+
+def test_session_builds_no_packet_log_entries(monkeypatch):
+    """The packet log is columns: neither the receive path nor the
+    metrics tier's teardown folds build a :class:`PacketLogEntry`
+    (a log kept as a list of records builds one per delivered packet)."""
+    built = []
+    original = PacketLogEntry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PacketLogEntry, "__init__", counting_init)
+    config = ScenarioConfig(
+        cc="gcc", environment="urban", platform="air", duration=10.0, seed=3
+    )
+    result = run_session(config, obs="metrics")
+    assert len(result.packet_log) > 1000
     assert built == []
 
 

@@ -492,6 +492,7 @@ import io  # noqa: E402
 import pickle  # noqa: E402
 
 from repro.core.fingerprint import digest, session_fingerprint  # noqa: E402
+from repro.core.receiver import PacketLogEntry  # noqa: E402
 from repro.core.session import SessionResult, run_session  # noqa: E402
 
 CODEC_CONFIG = ScenarioConfig(cc="gcc", environment="urban", duration=8.0, seed=2)
@@ -540,6 +541,25 @@ class TestCachedSessionEncoding:
         assert digest(session_fingerprint(loaded)) == digest(
             session_fingerprint(session)
         )
+
+    def test_cache_read_builds_no_packet_records(self, tmp_path, session, monkeypatch):
+        """A cached session's packet log loads as typed buffers: the read
+        builds no :class:`PacketLogEntry` (a load that rebuilds records
+        builds one per packet)."""
+        cache = ResultCache(tmp_path)
+        unit = make_unit(WORK_SESSION, CODEC_CONFIG)
+        cache.put(unit, session)
+        built = []
+        original = PacketLogEntry.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PacketLogEntry, "__init__", counting_init)
+        loaded = cache.get(unit)
+        assert len(loaded.packet_log) == len(session.packet_log) > 0
+        assert built == []
 
     def test_stale_field_names_evict_with_a_warning(self, tmp_path, session):
         cache = ResultCache(tmp_path)
