@@ -4,10 +4,14 @@ The whole point of the fast-path observability tier is that
 ``run_fleet(obs="metrics")`` keeps the vectorized tick path and adds
 no per-member work to it: the :class:`~repro.obs.FleetMetricsPlane`
 folds each member's recorded capacity samples once, after the loop.
-This bench gates that claim two ways:
+The run reads no wall clock itself, so this bench measures it from
+outside and gates the claim two ways:
 
-* the run's own ``obs_overhead`` self-accounting (wall seconds spent
-  inside the plane's fold over total wall) must be <= 10%;
+* the fold's share: wall seconds spent in
+  :meth:`~repro.obs.FleetMetricsPlane.observe_samples`, which the
+  bench wraps for the metered runs (and restores afterwards, as
+  ``benchmarks/perf/perf_shim.py`` wraps its entry points), over the
+  metered arm's wall time, each best-of-several, must be <= 10%;
 * the end-to-end wall time of the metered arm, best-of-several, must
   stay within 10% of the dark (``obs`` off) arm.
 
@@ -29,13 +33,17 @@ milliseconds) to dominate the wall clock would measure fixed costs,
 not the per-member tax the gate is about.
 """
 
+import functools
 import os
 import time
+from contextlib import contextmanager
 
 from repro.cellular.cell import CellCapacityConfig
 from repro.core.config import ScenarioConfig
 from repro.core.fingerprint import session_fingerprint
 from repro.core.fleet import FleetConfig, run_fleet
+from repro.obs import FleetMetricsPlane
+from repro.util.units import to_ms
 
 _QUICK = os.environ.get("REPRO_BENCH_SCALE", "default").lower() == "quick"
 
@@ -63,10 +71,36 @@ FLEET = FleetConfig(
 #: Interleaved rounds: each runs one dark and one metered flight.
 ROUNDS = 4
 
-#: The tentpole's hard budget: metrics-level fleet observability may
-#: cost at most 10% — both by self-accounting and end to end.
+#: The hard budget: metrics-level fleet observability may cost at
+#: most 10% — both as the fold's share and end to end.
 MAX_OVERHEAD_SHARE = 0.10
 MAX_WALL_RATIO = 1.10
+
+
+def _now() -> float:
+    """Host wall clock: the bench's only reading of it."""
+    return time.perf_counter()  # repro-lint: ignore[RPL001]
+
+
+@contextmanager
+def _timed_fold(spent: list[float]):
+    """Append each ``FleetMetricsPlane.observe_samples`` call's wall
+    seconds to ``spent`` while the block runs; restore on exit."""
+    original = FleetMetricsPlane.observe_samples
+
+    @functools.wraps(original)
+    def timed(self, member_samples):
+        start = _now()
+        try:
+            return original(self, member_samples)
+        finally:
+            spent.append(_now() - start)
+
+    FleetMetricsPlane.observe_samples = timed
+    try:
+        yield
+    finally:
+        FleetMetricsPlane.observe_samples = original
 
 
 def test_obs_overhead(benchmark, report):
@@ -74,13 +108,15 @@ def test_obs_overhead(benchmark, report):
 
     dark_walls: list[float] = []
     metered_walls: list[float] = []
+    fold_walls: list[float] = []
 
     def _round():
-        start = time.perf_counter()  # repro-lint: ignore[RPL001]
+        start = _now()
         dark = run_fleet(FLEET)
-        mid = time.perf_counter()  # repro-lint: ignore[RPL001]
-        metered = run_fleet(FLEET, obs="metrics")
-        end = time.perf_counter()  # repro-lint: ignore[RPL001]
+        mid = _now()
+        with _timed_fold(fold_walls):
+            metered = run_fleet(FLEET, obs="metrics")
+        end = _now()
         dark_walls.append(mid - start)
         metered_walls.append(end - mid)
         return dark, metered
@@ -100,7 +136,8 @@ def test_obs_overhead(benchmark, report):
     assert metered.occupancy == dark.occupancy
     assert metered.congestion_time == dark.congestion_time
 
-    share = metered.extra["obs_overhead"]["share"]
+    assert len(fold_walls) == ROUNDS  # one fold per metered fleet
+    share = min(fold_walls) / metered_wall if metered_wall > 0 else float("inf")
     ratio = metered_wall / dark_wall if dark_wall > 0 else float("inf")
     members = sum(
         1 for record in metered.extra["metrics"]
@@ -119,8 +156,9 @@ def test_obs_overhead(benchmark, report):
                 f" (best of {ROUNDS}, interleaved)",
                 f"  wall ratio        : {ratio:7.3f}x"
                 f" (gate: <= {MAX_WALL_RATIO:.2f}x)",
-                f"  self-accounted    : {share * 100:6.2f} %"
-                f" (gate: <= {MAX_OVERHEAD_SHARE * 100:.0f} %)",
+                f"  fold share        : {share * 100:6.2f} %"
+                f" (gate: <= {MAX_OVERHEAD_SHARE * 100:.0f} %;"
+                f" best fold {to_ms(min(fold_walls)):.1f} ms, timed outside)",
                 f"  plane coverage    : {members} member instrument rows",
                 "  bit-identity      : per-member fingerprints +"
                 " occupancy maps equal",

@@ -150,6 +150,17 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _runner_flags_set(args: argparse.Namespace) -> list[str]:
+    """The runner flags ``args`` sets away from their defaults."""
+    parser = argparse.ArgumentParser()
+    _add_runner_arguments(parser)
+    return [
+        "--" + dest.replace("_", "-")
+        for dest, default in vars(parser.parse_args([])).items()
+        if getattr(args, dest) != default
+    ]
+
+
 def _print_progress(done: int, total: int, record: RunTelemetry) -> None:
     origin = "cache" if record.cache_hit else record.worker
     print(
@@ -243,6 +254,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if "runner" in inspect.signature(runner).parameters:
         campaign_runner = _runner_from(args)
         kwargs["runner"] = campaign_runner
+    elif ignored := _runner_flags_set(args):
+        print(
+            f"figure {args.name} runs without the campaign runner; "
+            f"ignoring {', '.join(ignored)}",
+            file=sys.stderr,
+        )
     try:
         result = runner(settings, **kwargs)
     finally:

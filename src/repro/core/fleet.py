@@ -24,7 +24,6 @@ Determinism and the PR-4 bit-identity discipline:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.cellular.batch import install_fleet_plans
@@ -198,8 +197,7 @@ def run_fleet(
       per-member goodput/PRB-share/SINR histograms and congestion
       counters from each member's recorded capacity samples. Its
       registry snapshot lands in ``result.extra["metrics"]``
-      alongside per-cell occupancy gauges and the ``obs_overhead``
-      self-accounting.
+      alongside per-cell occupancy gauges.
     * ``trace`` — the legacy full tier: one shared
       :class:`~repro.obs.Recorder` bound to the loop sees every
       session's spans, and the fleet-wide diagnosis lands in
@@ -222,13 +220,17 @@ def run_fleet(
     the sampled traces land in ``result.extra["member_traces"]``.
     ``trace_members`` cannot combine with the ``trace`` tier — the
     shared recorder already covers every member.
+    No tier reads the wall clock, so the result is a pure function of
+    ``(config, obs)``; the fleet observability bench under
+    ``benchmarks/`` measures what the metrics tier costs from outside
+    the run.
     """
     level = ObsLevel.coerce(obs)
     if recorder is not None:
         shared: NullRecorder = recorder
         level = getattr(recorder, "level", ObsLevel.TRACE)
     elif level is ObsLevel.TRACE:
-        shared = Recorder(measure_overhead=True)
+        shared = Recorder()
     else:
         # metrics tier: sessions stay uninstrumented — the plane
         # carries the per-member metrics off the SoA tick state.
@@ -239,11 +241,6 @@ def run_fleet(
             "the shared recorder already traces every member"
         )
     obs_active = level is not ObsLevel.OFF or bool(config.trace_members)
-    if obs_active:
-        # Wall-clock self-accounting only (obs.overhead); never
-        # reaches sim state.
-        timer = time.perf_counter  # repro-lint: ignore[RPL001]  # overhead self-metric
-        wall_start = timer()
     reset_datagram_ids()
     loop = EventLoop()
     if isinstance(shared, Recorder):
@@ -278,7 +275,7 @@ def run_fleet(
             trajectory = TranslatedTrajectory(trajectory, dx, dy)
         session_obs = shared
         if index in config.trace_members:
-            _obs = Recorder(measure_overhead=True)
+            _obs = Recorder()
             _obs.bind(loop)
             _obs.event(
                 "fleet.member_sample",
@@ -327,14 +324,10 @@ def run_fleet(
             registry.gauge("fleet/occupancy", cell=cell).set(count)
         for cell, count in sorted(contention.peak_attached.items()):
             registry.gauge("fleet/peak_occupancy", cell=cell).set(count)
-        metrics_records = registry.snapshot()
-        recording_s = plane.overhead_s if plane is not None else 0.0
-        recording_s += shared.overhead_s
         if member_recorders:
             extra["trace_members"] = list(member_recorders)
             extra["member_traces"] = {}
             for index, member_recorder in member_recorders.items():
-                recording_s += member_recorder.overhead_s
                 extra["member_traces"][str(index)] = {
                     "trace": trace_to_dicts(member_recorder.trace),
                     "metrics": member_recorder.registry.snapshot(),
@@ -342,19 +335,9 @@ def run_fleet(
                         member_recorder.trace, member_recorder.registry
                     ).to_dict(),
                 }
-        # The overhead share is wall-clock and therefore run-dependent;
-        # it travels only in ``extra`` — never in the registry, whose
-        # snapshots must merge identically whatever the worker count.
-        wall_s = timer() - wall_start
-        share = recording_s / wall_s if wall_s > 0.0 else 0.0
-        extra["metrics"] = metrics_records
+        extra["metrics"] = registry.snapshot()
         if isinstance(shared, Recorder) and shared.level is ObsLevel.TRACE:
             extra["diagnosis"] = diagnose(shared.trace, shared.registry).to_dict()
-        extra["obs_overhead"] = {
-            "recording_s": recording_s,
-            "wall_s": wall_s,
-            "share": share,
-        }
     return FleetResult(
         config=config,
         sessions=sessions,

@@ -21,7 +21,6 @@ while ``run_session`` stays the classic single-UE path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 from typing import Any
@@ -509,15 +508,10 @@ def run_session(
     ``trace`` attaches a full :class:`~repro.obs.Recorder` (trace +
     metrics + the ``diagnosis`` extra). Either way the simulated
     outcome is bit-identical to an untraced run (recorders draw no
-    random numbers and schedule no events), and the run's
-    recording-time share lands in ``result.extra["obs_overhead"]``:
-    ``recording_s`` sums the clock pair each record times itself
-    with, including the teardown folds that record the per-packet
-    metrics from the packet log and sender stats. The detector feeds
-    run untimed: the per-frame and per-tick ones, the receiver's OWD
-    anomaly feed (one sample per 50 ms) and, at the trace tier, its
-    per-packet window bins. ``wall_s`` is the whole run and ``share``
-    their ratio.
+    random numbers and schedule no events), and the result is a pure
+    function of ``(config, obs)``: no tier reads the wall clock. The
+    cost of recording is gated from outside, as calls per sent packet
+    (``tests/test_media_path_cost.py``).
     Passing a ``recorder`` instance explicitly keeps its historical
     meaning and wins over ``obs``. ``draws`` forwards sweep-preloaded
     draw buffers to :func:`build_session` (bit-identical either way).
@@ -526,16 +520,11 @@ def run_session(
     if recorder is not None:
         obs = recorder
     elif level is ObsLevel.TRACE:
-        obs = Recorder(measure_overhead=True)
+        obs = Recorder()
     elif level is ObsLevel.METRICS:
-        obs = MetricsRecorder(measure_overhead=True)
+        obs = MetricsRecorder()
     else:
         obs = NULL_RECORDER
-    if obs.enabled:
-        # Wall-clock self-accounting only (obs.overhead); never
-        # reaches sim state.
-        timer = time.perf_counter  # repro-lint: ignore[RPL001]  # overhead self-metric
-        wall_start = timer()
     reset_datagram_ids()
     loop = EventLoop()
     if isinstance(obs, Recorder):
@@ -549,33 +538,6 @@ def run_session(
 
     result = handles.collect()
     if isinstance(obs, Recorder):
-        wall_s = timer() - wall_start
-        if obs._timer is not None:
-            # Overhead self-accounting rides only on recorders built
-            # with measure_overhead=True (the ObsLevel tiers above) —
-            # an explicitly passed legacy recorder keeps its exact
-            # historical trace and extras.
-            # Wall-clock and therefore run-dependent: the share stays
-            # out of the registry (whose snapshots must merge
-            # identically whatever the worker count) and travels via
-            # ``extra`` and the trace event only.
-            recording_s = obs.overhead_s
-            share = recording_s / wall_s if wall_s > 0.0 else 0.0
-            if obs.level is ObsLevel.TRACE:
-                # The self-metric also lands on the trace, so exported
-                # JSONL carries the run's recording cost with it.
-                obs.event(
-                    "obs.overhead",
-                    t=config.duration,
-                    recording_s=recording_s,
-                    wall_s=wall_s,
-                    share=share,
-                )
-            result.extra["obs_overhead"] = {
-                "recording_s": recording_s,
-                "wall_s": wall_s,
-                "share": share,
-            }
         # Per-run metric snapshot travels with the result record, so
         # campaign caches serve it without re-simulating and the
         # parent-side runner can merge registries across processes.

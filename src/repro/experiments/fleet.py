@@ -58,20 +58,18 @@ def fleet_unit(
     The capacity config is flattened to a plain tuple so the unit's
     cache fingerprint stays JSON-able and stable; ``obs`` accepts the
     full :class:`ObsLevel` spectrum (``True`` means ``trace`` for
-    backward compatibility) and lands in the params — and therefore
-    the fingerprint — as the level's string value, so traced, metered
-    and dark runs never share cache entries.
+    backward compatibility), and :func:`make_unit` stores it in the
+    params — and therefore the fingerprint — as the level's string
+    value, so traced, metered and dark runs never share cache entries.
     """
     params: dict = {
         "num_sessions": num_sessions,
         "seed_stride": seed_stride,
         "spread_radius": spread_radius,
+        "obs": obs,
     }
     if cell_capacity is not None:
         params["cell_capacity"] = dataclasses.astuple(cell_capacity)
-    level = ObsLevel.coerce(obs)
-    if level is not ObsLevel.OFF:
-        params["obs"] = level.value
     if trace_members:
         params["trace_members"] = tuple(int(m) for m in trace_members)
     return make_unit(WORK_FLEET, config, **params)

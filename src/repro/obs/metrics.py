@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -427,6 +426,10 @@ class FleetMetricsPlane:
     (:mod:`repro.cellular.batch`) exactly: a tick is congested iff its share is **strictly below**
     ``congestion_share``, and each congested tick contributes
     ``tick_period`` simulated seconds.
+
+    The plane reads no wall clock. The fleet observability bench under
+    ``benchmarks/`` times :meth:`observe_samples` from outside and
+    gates its share of a metrics-tier fleet's wall time.
     """
 
     def __init__(
@@ -441,11 +444,6 @@ class FleetMetricsPlane:
         self.n_members = n_members
         self.congestion_share = float(congestion_share)
         self.tick_period = float(tick_period)
-        #: Wall seconds spent folding (the plane's share of the
-        #: ``obs.overhead`` self-metric).
-        self.overhead_s = 0.0
-        # Wall-clock self-accounting only; never feeds sim state.
-        self._timer = time.perf_counter  # repro-lint: ignore[RPL001]  # overhead self-metric
         self.registry = MetricsRegistry()
 
     def observe_channels(self, channels) -> None:
@@ -470,8 +468,6 @@ class FleetMetricsPlane:
                     "fleet members must have lockstep sample counts: "
                     f"{len(samples)} vs {n_ticks}"
                 )
-        timer = self._timer
-        start = timer()
         registry = self.registry
         for member, samples in enumerate(member_samples):
             shares = np.array([s.uplink_share for s in samples], dtype=np.float64)
@@ -489,7 +485,6 @@ class FleetMetricsPlane:
             registry.histogram(
                 "fleet/sinr_db", SINR_DB_BUCKETS, member=member
             ).observe_many([s.sinr_db for s in samples])
-        self.overhead_s += timer() - start
 
     def snapshot(self) -> list[dict[str, Any]]:
         """The folded registry's :meth:`MetricsRegistry.snapshot`."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -49,6 +48,13 @@ class ObsLevel(enum.Enum):
       part of the payload); fleet members sampled via
       ``FleetConfig.trace_members`` trace on the same planned tick as
       the rest of their fleet.
+
+    No tier reads the wall clock, so a result is a pure function of
+    its unit at every tier. What recording costs is measured from
+    outside the result: per sent packet by the call-count gates of
+    ``tests/test_media_path_cost.py`` and ``tests/test_obs.py``, for
+    fleets by the fleet observability bench under ``benchmarks/``, and
+    per layer by the perf benchmark's traced ``obs.metrics.share``.
     """
 
     OFF = "off"
@@ -158,8 +164,6 @@ class NullRecorder:
     #: Observability tier this recorder implements (class attribute,
     #: like ``enabled``, so dispatch stays one attribute load).
     level = ObsLevel.OFF
-    #: Wall seconds spent recording (always 0.0 for the null twin).
-    overhead_s = 0.0
 
     def event(self, name: str, t: float | None = None, **labels: Any) -> None:
         """Ignore a point event."""
@@ -221,12 +225,9 @@ class Recorder(NullRecorder):
     names in code it can see, the warning catches names built
     dynamically at run time.
 
-    With ``measure_overhead=True`` every recording method times itself
-    (two clock reads per record) and accumulates into
-    :attr:`overhead_s` — the raw material of the ``obs.overhead``
-    self-metric that ``run_session``/``run_fleet`` surface in
-    ``result.extra["obs_overhead"]``. Off by default: the recorded
-    values never feed back into the simulation either way.
+    A recorder reads no wall clock: what it records is a pure function
+    of the run. The cost of recording is measured from outside the
+    result (see :class:`ObsLevel`).
     """
 
     enabled = True
@@ -237,16 +238,11 @@ class Recorder(NullRecorder):
         clock: Any | None = None,
         *,
         warn_unregistered: bool = False,
-        measure_overhead: bool = False,
     ) -> None:
         self.registry = MetricsRegistry()
         self.trace: list[TraceRecord] = []
         self._clock = clock
         self._depth = 0
-        self.overhead_s = 0.0
-        # Wall-clock self-accounting only: the measured time never
-        # reaches sim state or record timestamps.
-        self._timer = time.perf_counter if measure_overhead else None  # repro-lint: ignore[RPL001]  # overhead self-metric
         self._known_names: frozenset[str] | None = None
         self._warned_names: set[str] = set()
         if warn_unregistered:
@@ -290,8 +286,6 @@ class Recorder(NullRecorder):
     # ------------------------------------------------------------------
     def event(self, name: str, t: float | None = None, **labels: Any) -> None:
         """Record a point event at ``t`` (default: the sim clock)."""
-        timer = self._timer
-        start = timer() if timer is not None else 0.0
         if self._known_names is not None:
             self._check_name(name)
         self.trace.append(
@@ -302,20 +296,14 @@ class Recorder(NullRecorder):
                 depth=self._depth,
             )
         )
-        if timer is not None:
-            self.overhead_s += timer() - start
 
     def span_at(self, name: str, t0: float, t1: float, **labels: Any) -> None:
         """Record a completed span with explicit bounds."""
-        timer = self._timer
-        start = timer() if timer is not None else 0.0
         if self._known_names is not None:
             self._check_name(name)
         self.trace.append(
             TraceSpan(name=name, t0=t0, t1=t1, labels=labels, depth=self._depth)
         )
-        if timer is not None:
-            self.overhead_s += timer() - start
 
     @contextmanager
     def span(self, name: str, **labels: Any) -> Iterator[TraceSpan]:
@@ -345,23 +333,15 @@ class Recorder(NullRecorder):
     # ------------------------------------------------------------------
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         """Increment the counter ``name{labels}``."""
-        timer = self._timer
-        start = timer() if timer is not None else 0.0
         if self._known_names is not None:
             self._check_name(name)
         self.registry.counter(name, **labels).inc(amount)
-        if timer is not None:
-            self.overhead_s += timer() - start
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set the gauge ``name{labels}``."""
-        timer = self._timer
-        start = timer() if timer is not None else 0.0
         if self._known_names is not None:
             self._check_name(name)
         self.registry.gauge(name, **labels).set(value)
-        if timer is not None:
-            self.overhead_s += timer() - start
 
     def observe(
         self,
@@ -371,13 +351,9 @@ class Recorder(NullRecorder):
         **labels: Any,
     ) -> None:
         """Observe ``value`` in the histogram ``name{labels}``."""
-        timer = self._timer
-        start = timer() if timer is not None else 0.0
         if self._known_names is not None:
             self._check_name(name)
         self.registry.histogram(name, buckets=buckets, **labels).observe(value)
-        if timer is not None:
-            self.overhead_s += timer() - start
 
     def observe_many(
         self,
@@ -390,18 +366,14 @@ class Recorder(NullRecorder):
 
         Records bit for bit what ``for v in values: self.observe(name,
         v, ...)`` would (:meth:`Histogram.observe_many`), so an empty
-        column creates no record. The whole fold is one timed record.
+        column creates no record.
         """
-        timer = self._timer
-        start = timer() if timer is not None else 0.0
         if self._known_names is not None:
             self._check_name(name)
         if len(values):
             self.registry.histogram(
                 name, buckets=buckets, **labels
             ).observe_many(values)
-        if timer is not None:
-            self.overhead_s += timer() - start
 
 
 class MetricsRecorder(Recorder):

@@ -22,7 +22,6 @@ TRACE_NAMES = frozenset({
     "handover.execution",
     "jitter.gap",
     "loss.burst",
-    "obs.overhead",
     "player.underrun",
     "player.window",
     "receiver.owd_anomaly",

@@ -40,7 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover — avoid a runtime import cycle
 #: Bump when ScenarioConfig fields or result dataclasses change shape.
 #: v2: fleet ring members translate trajectories post-interpolation
 #: (TranslatedTrajectory), which moves N>=2 fleet results by an ulp.
-CACHE_SCHEMA_VERSION = 2
+#: v3: results carry no host wall-clock timings (observed runs stored
+#: their own recording time in ``extra``; that cost is now measured
+#: outside the result), so no older entry, which holds another run's
+#: timings, is served; and ``make_unit`` stores one ``obs`` spelling
+#: per tier.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -74,7 +74,17 @@ class WorkUnit:
 
 
 def make_unit(kind: str, config: ScenarioConfig, **params: Any) -> WorkUnit:
-    """Build a :class:`WorkUnit` with canonically sorted params."""
+    """Build a :class:`WorkUnit` with canonically sorted params.
+
+    An ``obs`` param is stored as its :class:`ObsLevel` value and
+    dropped for ``off``, so every spelling of a tier (``True``,
+    ``"trace"`` and ``ObsLevel.TRACE``; no param, ``False`` and
+    ``"off"``) builds one unit with one cache key.
+    """
+    if "obs" in params:
+        level = ObsLevel.coerce(params.pop("obs"))
+        if level is not ObsLevel.OFF:
+            params["obs"] = level.value
     return WorkUnit(kind=kind, config=config, params=tuple(sorted(params.items())))
 
 

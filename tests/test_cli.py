@@ -121,9 +121,20 @@ class TestRunnerFlags:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Fig 13" in out
-        assert "executed" in out
+        captured = capsys.readouterr()
+        assert "Fig 13" in captured.out
+        assert "executed" in captured.out
+        assert "ignoring" not in captured.err
+
+    def test_runnerless_figure_names_the_flags_it_ignores(self, capsys):
+        code = main(
+            ["figure", "per", "--duration", "5", "--seeds", "1", "--workers", "2"]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "figure per runs without the campaign runner" in err
+        assert "ignoring --workers" in err
+        assert "--cache-dir" not in err
 
 
 class TestProfile:

@@ -506,9 +506,8 @@ def test_sampled_member_trace_invariant_across_arms(golden):
 def test_n1_sampled_member_trace_matches_session_trace():
     """An N=1 fleet's sampled member records the session's exact trace.
 
-    The fleet adds one ``fleet.member_sample`` marker and the plain
-    session appends its ``obs.overhead`` self-event; everything else —
-    every record, stamp and label, in order — must match.
+    The fleet adds one ``fleet.member_sample`` marker; everything
+    else — every record, stamp and label, in order — must match.
     """
     config = PINNED["static-urban-air"].with_overrides(
         seed=3, duration=SESSION_DURATION
@@ -522,11 +521,7 @@ def test_n1_sampled_member_trace_matches_session_trace():
         r for r in fleet.extra["member_traces"]["0"]["trace"]
         if r["name"] != "fleet.member_sample"
     ]
-    session = [
-        r for r in trace_to_dicts(recorder.trace)
-        if r["name"] != "obs.overhead"
-    ]
-    assert member == session
+    assert member == trace_to_dicts(recorder.trace)
 
 
 def accept(reason: str) -> str:

@@ -354,14 +354,6 @@ class TestObserveMany:
         histogram.observe_many(column)
         assert histogram.total == running
 
-    def test_fold_is_timed_when_measured(self):
-        measured = Recorder(measure_overhead=True)
-        measured.observe_many("receiver/owd_ms", [1.0, 2.0])
-        assert measured.overhead_s > 0.0
-        unmeasured = Recorder()
-        unmeasured.observe_many("receiver/owd_ms", [1.0, 2.0])
-        assert unmeasured.overhead_s == 0.0
-
 
 class TestMetricsTierCost:
     """Deterministic per-packet cost of a metrics-tier session.
@@ -416,7 +408,7 @@ class TestMetricsTierCost:
         names = [call[1] for call in lookups]
         for name in self.PER_PACKET_NAMES:
             assert names.count(name) == 1, name
-        assert result.extra["obs_overhead"]["recording_s"] > 0.0
+        assert "obs_overhead" not in result.extra
 
     def test_window_bins_fed_only_at_trace_tier(self, monkeypatch):
         _, metered = self._run(monkeypatch, "metrics")
@@ -858,10 +850,6 @@ class TestFleetMetricsPlane:
         a.fold_into(ba)
         assert ab.snapshot() == ba.snapshot()
         assert ab.get("fleet/ticks", member=0).value == 4.0
-
-    def test_ingestion_time_lands_in_overhead(self):
-        plane = _plane()
-        assert plane.overhead_s > 0.0
 
 
 # ----------------------------------------------------------------------
