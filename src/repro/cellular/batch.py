@@ -11,14 +11,19 @@ of a batch, ticked by one shared :class:`FleetTickState`:
 * a probe sweep is one row per seed on one shared event loop
   (:func:`run_lockstep`).
 
-:func:`build_tick_plans` precomputes, for the whole horizon, every
-plane the tick would otherwise draw per tick, stacked over the rows:
-the raw per-cell RSRP the L3 filter reads and the per-cell uplink SNR
-the capacity reads at the serving cell (path loss, shadowing, scalar
-fading and aerial fast fading folded in at install), with the AR
-recursions stacked over ``(n_rows, n_cells)`` matrices and one block
-RNG refill per (row, stream). The batch then fires one loop event per
-tick and moves all its rows through it in four passes:
+:func:`build_tick_plans` precomputes, one block of ticks at a time,
+every plane the tick would otherwise draw per tick, stacked over the
+rows: the raw per-cell RSRP the L3 filter reads and the per-cell
+uplink SNR the capacity reads at the serving cell (path loss,
+shadowing, scalar fading and aerial fast fading folded in), with the
+AR recursions stacked over ``(n_rows, n_cells)`` matrices and one
+block draw per (row, stream) and block. A block holds at most
+:data:`BLOCK_ELEMENTS` elements per plane, so a session or a probe
+sweep plans its whole horizon as one block while a long or wide
+batch streams it: the batch builds the next block when its ticks
+leave the current one (:meth:`TickPlan.next_block`), and its plan
+memory does not grow with the horizon. The batch fires one loop event
+per tick and moves all its rows through it in four passes:
 
 1. **A3.** The L3 filter and neighbour powers advance for all rows in
    one matrix op each, and one masked argmax ranks every row's best
@@ -63,14 +68,15 @@ records keep their order, and metrics are unaffected.
 
 End of the horizon
 ------------------
-The plans cover exactly the ticks ``run_until(horizon)`` fires
+The plan's blocks cover exactly the ticks ``run_until(horizon)`` fires
 (:func:`probe_tick_times`). After its last planned tick the batch
-drops its rows and every plane and, instead of re-arming, schedules a
+drops its rows and its plan, whose two block buffers are the only
+planes it allocates, and, instead of re-arming, schedules a
 module-level tripwire at the next tick time: a run that goes on past
-its horizon fails with "tick plan exhausted" (the block refills
-already consumed the streams, so no row can draw on), a finished batch
+its horizon fails with "tick plan exhausted" (the last block drew the
+streams to the horizon, so no row can draw on), a finished batch
 holds no reference to a channel, and no channel holds a plane, so a
-finished run's planes are freed by reference counting even while its
+finished run's buffers are freed by reference counting even while its
 channel sits in the session's reference cycles.
 
 Bit-identity contract
@@ -78,7 +84,10 @@ Bit-identity contract
 Every draw comes from the same derived stream in the same order as a
 per-tick draw would (block draws consume ``numpy`` bit generators
 exactly like the equivalent scalar calls — the RNG-stability tests pin
-this). Every floating-point expression keeps the association of the
+this — and each (row, stream) draws its blocks in tick order, so where
+the blocks split the horizon changes no value; the shadowing,
+fast-fading and scalar-fading states carry across blocks). Every
+floating-point expression keeps the association of the
 per-row scalar formula it replaces; only elementwise ``+ - * /``,
 ``minimum``/``maximum`` on finite values and ``ceil`` run as numpy
 array ops, which round exactly like Python floats. ``10.0 ** x``,
@@ -93,7 +102,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,42 +137,185 @@ def probe_tick_times(duration: float, anchor: float) -> list[float]:
     return times
 
 
-@dataclass(slots=True)
+#: Most plane elements (rows x ticks x cells) one block of a tick plan
+#: holds: 8 MiB per float64 plane. A session or the 8-probe urban sweep
+#: (8 x 3001 x 32 = 768,256) plans its whole horizon as one block; a
+#: 64-member fleet streams its 120 s (1201 ticks x 32 cells) in three.
+BLOCK_ELEMENTS = 1 << 20
+
+
 class TickPlan:
-    """Whole-horizon planes of one batch, stacked over its rows.
+    """One block of ticks of a batch's planes, stacked over its rows.
 
     ``rsrp`` is the raw per-cell RSRP (dBm) the L3 filter reads and
     ``snr_db`` the per-cell uplink SNR (dB) the capacity reads at the
-    serving cell, both ``(n_rows, n_ticks, n_cells)``;
-    ``altitudes[k]`` lists every row's UE altitude at tick ``k`` as
-    Python floats.
+    serving cell, both ``(n_rows, hi - lo, n_cells)`` over the ticks
+    ``lo`` to ``hi - 1``; ``altitudes[k - lo]`` lists every row's UE
+    altitude at tick ``k`` as Python floats. The two planes are views
+    of ``buffers``, which the plan allocates once, at most
+    :data:`BLOCK_ELEMENTS` elements each, and :meth:`next_block`
+    overwrites with the following block, carrying the shadowing,
+    fast-fading and scalar-fading states across blocks.
     """
 
-    rsrp: np.ndarray
-    snr_db: np.ndarray
-    altitudes: list[list[float]]
+    __slots__ = (
+        "rsrp", "snr_db", "altitudes", "lo", "hi", "buffers",
+        "_channels", "_times", "_shadow", "_fastfade", "_fading",
+    )
+
+    def __init__(
+        self, channels: Sequence[CellularChannel], times: Sequence[float]
+    ) -> None:
+        n_rows = len(channels)
+        n_cells = len(channels[0].layout)
+        ticks = min(len(times), max(1, BLOCK_ELEMENTS // (n_rows * n_cells)))
+        self.buffers = (
+            np.empty((n_rows, ticks, n_cells)),
+            np.empty((n_rows, ticks, n_cells)),
+        )
+        self._channels = channels
+        self._times = times
+        self._shadow = np.array([ch._shadowing._values for ch in channels])
+        self._fastfade = np.zeros((n_rows, n_cells))
+        self._fading = np.zeros(n_rows)
+        self.hi = 0
+        self.next_block()
+
+    def next_block(self) -> None:
+        """Draw and write the block of ticks that follows the current one.
+
+        Each (row, stream) draws its block of ticks in one call, in
+        tick order, and the AR recursions run over ``(n_rows,
+        n_cells)`` state matrices, one numpy op per tick for the whole
+        batch. The shadowing and fast-fading states are staged in the
+        RSRP and SNR buffers, then each row's geometry and measurement
+        noise are folded in, in the order of the per-tick formula.
+        """
+        channels = self._channels
+        times = self._times
+        n_ticks = len(times)
+        lo = self.hi
+        rsrp, snr_db = self.buffers
+        hi = min(lo + rsrp.shape[1], n_ticks)
+        m = hi - lo
+        rsrp = rsrp[:, :m]
+        snr_db = snr_db[:, :m]
+        n_cells = rsrp.shape[2]
+        cfg = channels[0].config
+        prop = cfg.propagation
+        alts = np.array(
+            [ch._altitudes(times[0], n_ticks, lo, hi) for ch in channels]
+        )
+
+        # --- shadowing: OU recursion with per-tick dt-dependent rho -----
+        # As ShadowingProcess.sample: rho = exp(-dt / corr) and
+        # V = rho*V + sqrt(1-rho^2)*noise, with no draw on the first
+        # sample (dt == 0). dt comes from the exact tick times, so rho is
+        # computed per tick with math.exp — never np.exp, whose
+        # vectorized libm may differ in the last ulp. The noise is drawn
+        # into the RSRP buffer, and the recursion overwrites it with the
+        # shadowing in dB.
+        frac_sh = np.clip(alts / prop.air_transition_alt, 0.0, 1.0)
+        shadow_std = prop.shadow_std_ground_db + frac_sh * (
+            prop.shadow_std_air_db - prop.shadow_std_ground_db
+        )
+        first = 1 if lo == 0 else 0
+        if m > first:
+            for s, ch in enumerate(channels):
+                rsrp[s, first:] = ch._shadowing._rng.normal(
+                    0.0, 1.0, size=(m - first, n_cells)
+                )
+        corr = prop.shadow_corr_time
+        values = self._shadow
+        for t in range(m):
+            k = lo + t
+            if k:
+                rho = math.exp(-max(times[k] - times[k - 1], 0.0) / corr)
+                values = rho * values + math.sqrt(1 - rho * rho) * rsrp[:, t]
+            np.multiply(values, shadow_std[:, t, None], out=rsrp[:, t])
+        self._shadow = values
+
+        # --- aerial fast fading: AR(1) at the fixed tick period ---------
+        # Staged in the SNR buffer, scaled by alt_frac * std: one plane
+        # for the RSRP and the uplink SNR, where the serving cell's
+        # aerial fast fading makes capacity dip *before* the A3 event
+        # fires (Fig. 8/9).
+        rho_ff = math.exp(-MEASUREMENT_PERIOD / cfg.air_fastfade_corr_time)
+        c_ff = math.sqrt(1 - rho_ff * rho_ff)
+        frac40 = np.minimum(alts / 40.0, 1.0)
+        ff_scale = frac40 * cfg.air_fastfade_std_db
+        for s, ch in enumerate(channels):
+            snr_db[s] = ch._fastfade_rng.normal(0.0, 1.0, size=(m, n_cells))
+        state = self._fastfade
+        for t in range(m):
+            state = rho_ff * state + c_ff * snr_db[:, t]
+            np.multiply(state, ff_scale[:, t, None], out=snr_db[:, t])
+        self._fastfade = state
+
+        # --- scalar fading: AR(1) with altitude-scaled innovation -------
+        rho_f = math.exp(-MEASUREMENT_PERIOD / cfg.fading_corr_time)
+        c_f = math.sqrt(1 - rho_f * rho_f)
+        fading = np.array(
+            [ch._fading_rng.normal(0.0, 1.0, size=m) for ch in channels]
+        )
+        fading *= cfg.fading_std_ground_db + frac40 * (
+            cfg.fading_std_air_db - cfg.fading_std_ground_db
+        )
+        fstate = self._fading
+        for t in range(m):
+            fstate = rho_f * fstate + c_f * fading[:, t]
+            fading[:, t] = fstate
+        self._fading = fstate
+
+        # --- per row: geometry and measurement noise --------------------
+        # A per-tick normal(0, noise_std, size=n_cells) draw and a
+        # standard-normal block scaled by the per-tick std produce the
+        # same values (loc=0, and numpy applies loc + scale*z per
+        # element), consuming the stream identically. In the scalar
+        # formulas' order (a + b == b + a exactly):
+        #   RSRP = ((det + shadow) + meas_std * noise) + fastfade
+        #   SNR = (((0.5 * shadow + (UL - loss)) + fading) + fastfade)
+        # The uplink follows the 3-D path loss to the serving site (the
+        # BS receive antenna is wide in the uplink), not the
+        # down-tilted pattern that drives handovers.
+        meas_std = cfg.meas_noise_ground_db + frac40 * (
+            cfg.meas_noise_air_db - cfg.meas_noise_ground_db
+        )
+        for s, ch in enumerate(channels):
+            det, loss = ch._geometry(times[0], n_ticks, lo, hi)
+            uplink = rsrp[s] * 0.5
+            uplink += UL_BUDGET_DB - loss
+            uplink += fading[s, :, None]
+            rsrp[s] += det
+            rsrp[s] += meas_std[s, :, None] * ch._meas_rng.normal(
+                0.0, 1.0, size=(m, n_cells)
+            )
+            rsrp[s] += snr_db[s]
+            snr_db[s] += uplink
+        self.rsrp = rsrp
+        self.snr_db = snr_db
+        self.altitudes = alts.T.tolist()
+        self.lo = lo
+        self.hi = hi
 
 
 def build_tick_plans(
     channels: Sequence[CellularChannel], times: Sequence[float]
 ) -> TickPlan:
-    """Precompute the whole-horizon planes for a batch's rows.
+    """Build a batch's tick plan over ``times``, holding its first block.
 
     All channels must share the layout size, one
     :class:`~repro.cellular.channel.ChannelConfig` and one operator
     profile (equal by value): the AR, noise, fading and capacity
-    constants are read once for the batch. The AR recursions run over
-    ``(n_rows, n_cells)`` state matrices — one numpy op per tick for
-    the whole batch instead of one per row — and each stream is
-    refilled with a single block draw covering every tick, consuming
-    the per-row generators in exactly the per-tick order.
+    constants are read once for the batch. The plan holds at most
+    :data:`BLOCK_ELEMENTS` ticks-by-cells elements over all rows per
+    plane; :meth:`TickPlan.next_block` draws the next block when the
+    batch's ticks leave the current one, consuming the per-row
+    generators in exactly the per-tick order.
     """
-    n = len(times)
-    n_seeds = len(channels)
     n_cells = len(channels[0].layout)
     cfg = channels[0].config
     profile = channels[0].profile
-    prop = cfg.propagation
     for ch in channels:
         if len(ch.layout) != n_cells:
             raise ValueError("batched channels must share the layout size")
@@ -172,113 +323,7 @@ def build_tick_plans(
             raise ValueError("batched channels must share one ChannelConfig")
         if ch.profile != profile:
             raise ValueError("batched channels must share one OperatorProfile")
-
-    # Geometry for the whole horizon (the shared positions cache makes
-    # this cheap for fixed-trajectory air sweeps).
-    det = np.empty((n_seeds, n, n_cells))
-    alts = np.empty((n_seeds, n))
-    losses = []
-    for s, ch in enumerate(channels):
-        det[s], loss, alts[s] = ch._geometry(times[0], n)
-        losses.append(loss)
-
-    # --- shadowing: OU recursion with per-tick dt-dependent rho -----
-    # As ShadowingProcess.sample: rho = exp(-dt / corr) and
-    # V = rho*V + sqrt(1-rho^2)*noise, with no draw on the first
-    # sample (dt == 0). dt comes from the exact tick times, so rho is
-    # computed per tick with math.exp — never np.exp, whose
-    # vectorized libm may differ in the last ulp.
-    corr = prop.shadow_corr_time
-    rhos = [0.0] * n
-    cs = [0.0] * n
-    for t in range(1, n):
-        dt = max(times[t] - times[t - 1], 0.0)
-        rho = math.exp(-dt / corr)
-        rhos[t] = rho
-        cs[t] = math.sqrt(1 - rho * rho)
-    frac_sh = np.clip(alts / prop.air_transition_alt, 0.0, 1.0)
-    shadow_std = prop.shadow_std_ground_db + frac_sh * (
-        prop.shadow_std_air_db - prop.shadow_std_ground_db
-    )
-    shadow_noise = np.empty((n_seeds, max(n - 1, 1), n_cells))
-    values = np.empty((n_seeds, n_cells))
-    for s, ch in enumerate(channels):
-        shadowing = ch._shadowing
-        values[s] = shadowing._values
-        if n > 1:
-            shadow_noise[s] = shadowing._rng.normal(
-                0.0, 1.0, size=(n - 1, n_cells)
-            )
-    shadow_db = np.empty((n_seeds, n, n_cells))
-    shadow_db[:, 0, :] = values * shadow_std[:, 0][:, None]
-    for t in range(1, n):
-        values = rhos[t] * values + cs[t] * shadow_noise[:, t - 1, :]
-        shadow_db[:, t, :] = values * shadow_std[:, t][:, None]
-    del shadow_noise
-
-    # --- aerial fast fading: AR(1) at the fixed tick period ---------
-    rho_ff = math.exp(-MEASUREMENT_PERIOD / cfg.air_fastfade_corr_time)
-    c_ff = math.sqrt(1 - rho_ff * rho_ff)
-    ff_noise = np.empty((n_seeds, n, n_cells))
-    for s, ch in enumerate(channels):
-        ff_noise[s] = ch._fastfade_rng.normal(0.0, 1.0, size=(n, n_cells))
-    fastfade = np.empty((n_seeds, n, n_cells))
-    state = np.zeros((n_seeds, n_cells))
-    for t in range(n):
-        state = rho_ff * state + c_ff * ff_noise[:, t, :]
-        fastfade[:, t, :] = state
-    del ff_noise
-
-    # --- measurement noise + RSRP assembly --------------------------
-    # A per-tick normal(0, noise_std, size=n_cells) draw and a
-    # standard-normal block scaled by the per-tick std produce the
-    # same values (loc=0, and numpy applies loc + scale*z per
-    # element), consuming the stream identically.
-    frac40 = np.minimum(alts / 40.0, 1.0)
-    meas_std = cfg.meas_noise_ground_db + frac40 * (
-        cfg.meas_noise_air_db - cfg.meas_noise_ground_db
-    )
-    rsrp = det + shadow_db
-    del det
-    meas_noise = np.empty((n_seeds, n, n_cells))
-    for s, ch in enumerate(channels):
-        meas_noise[s] = ch._meas_rng.normal(0.0, 1.0, size=(n, n_cells))
-    rsrp += meas_std[:, :, None] * meas_noise
-    del meas_noise
-    # (alt_frac * std) * fastfade: one plane for the RSRP here and the
-    # uplink SNR below, where the serving cell's aerial fast fading
-    # makes capacity dip *before* the A3 event fires (Fig. 8/9).
-    fastfade *= (frac40 * cfg.air_fastfade_std_db)[:, :, None]
-    rsrp += fastfade
-
-    # --- scalar fading: AR(1) with altitude-scaled innovation -------
-    rho_f = math.exp(-MEASUREMENT_PERIOD / cfg.fading_corr_time)
-    c_f = math.sqrt(1 - rho_f * rho_f)
-    fading_std = cfg.fading_std_ground_db + frac40 * (
-        cfg.fading_std_air_db - cfg.fading_std_ground_db
-    )
-    fading_noise = np.empty((n_seeds, n))
-    for s, ch in enumerate(channels):
-        fading_noise[s] = ch._fading_rng.normal(0.0, 1.0, size=n)
-    fading = np.empty((n_seeds, n))
-    fstate = np.zeros(n_seeds)
-    for t in range(n):
-        fstate = rho_f * fstate + c_f * (fading_noise[:, t] * fading_std[:, t])
-        fading[:, t] = fstate
-
-    # --- uplink SNR at every cell, in the scalar formula's order ----
-    # (((UL - loss) + 0.5 * shadow) + fading) + (alt_frac * std) * ff,
-    # in the shadowing plane's buffer (a + b == b + a exactly): the
-    # uplink follows the 3-D path loss to the serving site (the BS
-    # receive antenna is wide in the uplink), not the down-tilted
-    # pattern that drives handovers.
-    snr_db = shadow_db
-    snr_db *= 0.5
-    for s, loss in enumerate(losses):
-        snr_db[s] += UL_BUDGET_DB - loss
-    snr_db += fading[:, :, None]
-    snr_db += fastfade
-    return TickPlan(rsrp=rsrp, snr_db=snr_db, altitudes=alts.T.tolist())
+    return TickPlan(channels, times)
 
 
 class FleetTickState:
@@ -288,8 +333,9 @@ class FleetTickState:
     reads — the L3-filtered RSRP matrix ``f_matrix`` and its powers,
     which :meth:`advance` moves one tick at a time (the filter
     recursion is elementwise, so the matrix update equals the per-row
-    updates row for row) — and runs the tick kernel (see the module
-    docstring) over its rows.
+    updates row for row), building the plan's next block when the
+    tick leaves the current one — and runs the tick kernel (see the
+    module docstring) over its rows.
 
     Tick 0 runs row by row from ``CellularChannel.start`` (see
     :meth:`start_row`); the last row to start arms tick 1. Each later
@@ -342,21 +388,28 @@ class FleetTickState:
         self._k = -1
 
     def advance(self, k: int) -> None:
-        """Advance the filter and power planes to tick ``k`` (idempotent)."""
+        """Advance the filter and power planes to tick ``k`` (idempotent).
+
+        Builds the plan's next block first when ``k`` is past its
+        current one.
+        """
         if k == self._k:
             return
         if k != self._k + 1:
             raise RuntimeError(
                 f"batch ticks must advance in lockstep: {self._k} -> {k}"
             )
-        rsrp = self.plan.rsrp
+        plan = self.plan
+        if k == plan.hi:
+            plan.next_block()
+        rsrp = plan.rsrp[:, k - plan.lo, :]
         if self.f_matrix is None:
             # First measurement: the filter initializes to the raw
             # RSRP (scalar: ``rsrp.astype(float)``).
-            self.f_matrix = rsrp[:, 0, :].copy()
+            self.f_matrix = rsrp.copy()
         else:
             alpha = self._alpha
-            self.f_matrix = (1 - alpha) * self.f_matrix + alpha * rsrp[:, k, :]
+            self.f_matrix = (1 - alpha) * self.f_matrix + alpha * rsrp
         self.powered = np.power(10.0, self.f_matrix / 10.0)
         self._k = k
 
@@ -400,9 +453,11 @@ class FleetTickState:
         self.advance(k)
         now = self._times[k]
         f = self.f_matrix
+        plan = self.plan
+        j = k - plan.lo
         chans = self._rows[lo:hi]
         ids = self._ids[lo:hi]
-        altitudes = self.plan.altitudes[k][lo:hi]
+        altitudes = plan.altitudes[j][lo:hi]
         contention = self._contention
         config = self._config
 
@@ -490,7 +545,7 @@ class FleetTickState:
         # ``b if b > a else a`` is ``max(a, b)`` and ``b if b < a else
         # a`` is ``min(a, b)``, value for value, without a call.
         cells = np.array(serving)
-        snr_10 = (self.plan.snr_db[ids, k, cells] / 10.0).tolist()
+        snr_10 = (plan.snr_db[ids, j, cells] / 10.0).tolist()
         rsrp_row = f[ids, cells]
         rsrp = rsrp_row.tolist()
         rsrp_10 = (rsrp_row / 10.0).tolist()
@@ -620,8 +675,8 @@ def _capacity_factors(ch: CellularChannel, now: float) -> list[float]:
 def _plan_exhausted() -> None:
     raise RuntimeError(
         "tick plan exhausted: a channel ticked past the horizon its plan "
-        "was built for (the block refills already consumed its RNG "
-        "streams, so it cannot draw on)"
+        "was built for (its last block drew the RNG streams to that "
+        "horizon, so it cannot draw on)"
     )
 
 
@@ -629,15 +684,17 @@ def install_fleet_plans(
     channels: Sequence[CellularChannel],
     duration: float,
 ) -> FleetTickState:
-    """Precompute and install the tick plans of one batch.
+    """Install the tick plan of one batch, its first block built.
 
     ``channels`` become the batch's rows, in order. They must share
     one event loop and either one
     :class:`~repro.cellular.cell.CellContention` or none, and must not
-    be started. The plans cover the anchored ticks from the loop's
+    be started. The plan covers the anchored ticks from the loop's
     current time up to ``duration`` inclusive
-    (:func:`probe_tick_times`), so ``duration`` must be the
-    ``run_until`` horizon: a channel that ticks past it raises. Each
+    (:func:`probe_tick_times`), one block of at most
+    :data:`BLOCK_ELEMENTS` elements per plane at a time, so
+    ``duration`` must be the ``run_until`` horizon: a channel that
+    ticks past it raises. Each
     row's outlier stream is wrapped in a block-refilled
     :class:`~repro.util.rng.BatchedUniform` (its draws mix
     ``random()`` and ``uniform()`` on one stream; the wrapper serves

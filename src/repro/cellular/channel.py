@@ -15,8 +15,9 @@
 
 Every channel ticks as one row of a tick batch
 (:mod:`repro.cellular.batch`), which precomputes the geometry and the
-random planes for the whole horizon and runs steps 1-4 for all its
-rows at once, one loop event per tick. The channel holds its row's
+random planes one block of ticks at a time (a session's whole horizon
+is one block) and runs steps 1-4 for all its rows at once, one loop
+event per tick. The channel holds its row's
 state — the handover engine, the outage, post-handover and outlier
 windows, the congestion episode, the logs — and the few per-row steps
 the batch's kernel calls into. The instantaneous capacity is exposed
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,30 +92,37 @@ def _tick_geometry(
     prop_key: tuple,
     anchor: float,
     n_ticks: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-tick, per-cell radio geometry, vectorized.
 
-    For measurement ticks ``anchor + k * 0.1`` this
-    precomputes everything about the tick that does not depend on a
-    random draw: the UE position along the trajectory, the 3-D path
+    For the measurement ticks ``anchor + k * 0.1`` with ``lo <= k <
+    hi`` (of ``n_ticks`` from the anchor) this computes everything
+    about the tick that does not depend on a random draw: the 3-D path
     loss to every cell and the down-tilted antenna gain toward the UE.
-    Returns ``(rsrp_det, loss, altitudes)`` where ``rsrp_det[k, i]``
-    is ``tx_power - loss + gain`` for cell ``i`` (shadowing and
-    fading are added per tick at run time) and ``loss[k, i]`` is the
-    3-D path loss that also feeds the uplink budget.
+    Returns ``(rsrp_det, loss)`` where ``rsrp_det[k - lo, i]`` is
+    ``tx_power - loss + gain`` for cell ``i`` (shadowing and fading
+    are added by the tick plan) and ``loss[k - lo, i]`` is the 3-D
+    path loss that also feeds the uplink budget. Every element is
+    computed on its own, so a block of ticks equals the same rows of
+    the whole horizon, byte for byte.
 
     Keyed on value tuples (waypoints, ground-plane offset, cell
     parameters, propagation config), so repeated runs over the same
     trajectory and layout — same-seed re-runs, parallel-vs-serial
     equality checks, cached campaign replays — reuse the arrays across
-    channel instances. ``offset`` is the translated-trajectory shift
-    (see :class:`~repro.flight.trajectory.TranslatedTrajectory`):
+    channel instances. Only a whole horizon is worth keeping: a plan
+    that streams its horizon in blocks calls the uncached
+    ``_tick_geometry.__wrapped__``, since its block keys never repeat
+    within the cache's reach. ``offset`` is the translated-trajectory
+    shift (see :class:`~repro.flight.trajectory.TranslatedTrajectory`):
     every member of a fleet ring shares the base position table in
     :func:`_tick_positions` and only the loss/gain pass below runs per
     member.
     """
     config = PropagationConfig(*prop_key)
-    pos = _tick_positions(traj_key, anchor, n_ticks)
+    pos = _tick_positions(traj_key, anchor, n_ticks)[lo:hi]
     if offset != (0.0, 0.0):
         # _tick_positions rows are lru-cached and shared; copy before
         # shifting, and shift only the ground plane (altitude stays).
@@ -132,11 +140,10 @@ def _tick_geometry(
     dz = pos[:, 2:3] - ch[None, :]
     horizontal = np.hypot(dx, dy)
     dist3d = np.sqrt(dx * dx + dy * dy + dz * dz)
-    altitudes = pos[:, 2].copy()
     loss = path_loss_db_array(dist3d, pos[:, 2:3], config)
     gain = antenna_gain_db_array(horizontal, dz, cell_ids, downtilt, config)
     rsrp_det = tx_power[None, :] - loss + gain
-    return rsrp_det, loss, altitudes
+    return rsrp_det, loss
 
 
 @dataclass(slots=True)
@@ -220,10 +227,12 @@ class CellularChannel:
     streams:
         Random-stream factory for shadowing/fading/HET draws.
     horizon:
-        Simulated time (s) the run ends at. :meth:`start` precomputes
-        the geometry and every random plane up to it in one vectorized
-        pass; ticking past it raises "tick plan exhausted". Below the
-        horizon, a run's output does not depend on it.
+        Simulated time (s) the run ends at. :meth:`start` installs a
+        tick plan up to it, which precomputes the geometry and every
+        random plane in vectorized blocks of ticks (one block up to
+        54 minutes for a channel alone in 32 cells); ticking past it
+        raises "tick plan exhausted". Below the horizon, a run's
+        output does not depend on it.
     contention:
         Optional shared-cell PRB scheduler
         (:class:`repro.cellular.cell.CellContention`). When given,
@@ -327,26 +336,35 @@ class CellularChannel:
         """Instantaneous downlink capacity in bits/s."""
         return self._downlink_bps
 
-    def _geometry(
-        self, anchor: float, n_ticks: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rsrp_det, loss, altitudes)`` for ticks ``anchor + k * 0.1``.
-
-        See :func:`_tick_geometry`; ``k`` runs over ``range(n_ticks)``.
-        """
+    @cached_property
+    def _geometry_key(self) -> tuple:
+        """``(traj_key, offset, cell_key, prop_key)`` of :func:`_tick_geometry`."""
         traj_key, offset = self.trajectory.geometry_key()
         cells = tuple(
             (c.cell_id, c.x, c.y, c.height, c.tx_power_dbm, c.downtilt_deg)
             for c in self.layout.cells
         )
-        return _tick_geometry(
-            traj_key,
-            offset,
-            cells,
-            dataclasses.astuple(self.config.propagation),
-            anchor,
-            n_ticks,
+        return traj_key, offset, cells, dataclasses.astuple(self.config.propagation)
+
+    def _altitudes(
+        self, anchor: float, n_ticks: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """UE altitudes at ticks ``lo`` to ``hi - 1`` of ``anchor + k * 0.1``."""
+        traj_key = self._geometry_key[0]
+        return _tick_positions(traj_key, anchor, n_ticks)[lo:hi, 2]
+
+    def _geometry(
+        self, anchor: float, n_ticks: int, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rsrp_det, loss)`` at the ticks :meth:`_altitudes` takes.
+
+        Through :func:`_tick_geometry`'s cache for a whole horizon
+        (``lo == 0`` and ``hi == n_ticks``), around it for a block.
+        """
+        geometry = (
+            _tick_geometry if hi - lo == n_ticks else _tick_geometry.__wrapped__
         )
+        return geometry(*self._geometry_key, anchor, n_ticks, lo, hi)
 
     def start(self) -> None:
         """Begin the 10 Hz measurement/update loop.

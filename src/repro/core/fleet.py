@@ -174,9 +174,10 @@ def run_fleet(
     layout, and one :class:`CellContention`. The fleet is one tick
     batch with a row per member:
     :func:`~repro.cellular.batch.install_fleet_plans` stacks every
-    member's whole-horizon tick plan (one block RNG refill per
-    stream, translated-trajectory geometry shared through the
-    base-position cache) and the batch's
+    member's tick plan, streamed in blocks of ticks (one draw per
+    stream and block, translated-trajectory geometry shared through
+    the base-position cache; a 64-member 120 s fleet plans three
+    blocks), and the batch's
     :class:`~repro.cellular.batch.FleetTickState` drives all members'
     ticks with one loop event per tick, the same code a single
     session's one-row batch uses. Ring members fly

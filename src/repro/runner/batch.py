@@ -3,8 +3,9 @@
 A campaign matrix is mostly the same scenario repeated across seeds.
 Those repeats share every stochastic *shape* — tick count, cell count,
 stream labels — so a whole seed sweep can execute as one
-struct-of-arrays batch: the channel's random planes refill once for
-``(n_seeds, n_ticks)`` (see :mod:`repro.cellular.batch`) and a
+struct-of-arrays batch: the channel's random planes are drawn for
+all ``n_seeds`` rows at once, in blocks of ticks (see
+:mod:`repro.cellular.batch`), and a
 session's per-packet/per-frame draws refill once per stream via
 :class:`~repro.util.rng.SweepDrawPlan`. Only the branchy control-loop
 state (A3 evaluation, GCC/SCReAM, queues) stays per-run.

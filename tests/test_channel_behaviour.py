@@ -139,7 +139,17 @@ class TestHetInjection:
                 assert event.execution_time == pytest.approx(0.5, rel=0.1)
 
     def test_custom_a3_via_config(self):
-        base = ScenarioConfig(cc="static", environment="urban", duration=90.0, seed=11)
+        # The channel never reads media state: at 100 kbps both handover
+        # logs equal the 25 Mbps ones (29 and 3 handovers).
+        base = ScenarioConfig(
+            cc="static",
+            environment="urban",
+            duration=90.0,
+            seed=11,
+            static_bitrate=1e5,
+            min_bitrate=1e5,
+            max_bitrate=2e5,
+        )
         loose = run_session(
             base.with_overrides(
                 extra={"a3": A3Config(hysteresis_db=0.5, time_to_trigger=0.1)}

@@ -32,7 +32,10 @@ Live comparisons between two production paths run beside the golden
 checks: batched vs per-seed probes and sessions, an N=1 fleet vs the
 plain session, traced vs untraced, a metrics-tier session snapshot vs
 the trace-tier registry of the same run, ``obs="metrics"`` vs dark
-fleets and trace-sampled vs dark fleets.
+fleets and trace-sampled vs dark fleets. The dense fleet, a probe and
+a session also run with their tick plans streamed in small blocks
+(:data:`repro.cellular.batch.BLOCK_ELEMENTS` lowered), and must still
+match their golden digests.
 
 Why per environment: numpy picks SIMD kernels for ``np.power`` and
 friends from the CPU at import time, and its AVX-512 kernels round
@@ -61,6 +64,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cellular.batch as batch
 from repro.cellular.cell import CellCapacityConfig
 from repro.core.config import ScenarioConfig
 from repro.core.fingerprint import (
@@ -411,6 +415,56 @@ def test_fleet_fast_bit_identical_to_scalar(name, golden):
 
 def test_dense_fleet_matches_golden(golden):
     assert_golden(golden, DENSE_CASE, fleet_fingerprint(run_fleet(DENSE_FLEET)))
+
+
+def stream_in_blocks(monkeypatch, elements: int) -> list[tuple[int, int]]:
+    """Cap every tick plan's blocks at ``elements``; returns each block built.
+
+    A streamed plan must reproduce the whole-horizon digests: the
+    default budget plans every golden case in one block.
+    """
+    monkeypatch.setattr(batch, "BLOCK_ELEMENTS", elements)
+    blocks = []
+    next_block = batch.TickPlan.next_block
+
+    def recording(plan):
+        next_block(plan)
+        blocks.append((plan.lo, plan.hi))
+
+    monkeypatch.setattr(batch.TickPlan, "next_block", recording)
+    return blocks
+
+
+def block_ticks(ticks: int, n: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + ticks, n)) for lo in range(0, n, ticks)]
+
+
+def test_dense_fleet_streamed_in_blocks_matches_golden(golden, monkeypatch):
+    # 64 rows x 32 urban cells x 80 ticks: 201 ticks stream as 80 + 80 + 41.
+    blocks = stream_in_blocks(monkeypatch, DENSE_FLEET.num_sessions * 32 * 80)
+    fingerprint = fleet_fingerprint(run_fleet(DENSE_FLEET))
+    assert blocks == block_ticks(80, 201)
+    assert_golden(golden, DENSE_CASE, fingerprint)
+
+
+def test_probe_streamed_in_blocks_matches_golden(golden, monkeypatch):
+    blocks = stream_in_blocks(monkeypatch, 32 * 7)  # one row, 32 urban cells
+    config = probe_configs("static-urban-air-P2")[1]
+    fingerprint = probe_fingerprint(channel_probe_seed(config))
+    assert blocks == block_ticks(7, 601)
+    assert_golden(
+        golden, probe_case("static-urban-air-P2", config.seed), fingerprint
+    )
+
+
+def test_session_streamed_in_blocks_matches_golden(golden, monkeypatch):
+    blocks = stream_in_blocks(monkeypatch, 32 * 7)  # one row, 32 urban cells
+    config = session_configs("scream-urban-ground")[1]
+    fingerprint = session_fingerprint(run_session(config))
+    assert blocks == block_ticks(7, 101)
+    assert_golden(
+        golden, session_case("scream-urban-ground", config.seed), fingerprint
+    )
 
 
 def test_n1_fleet_bit_identical_to_session(golden):

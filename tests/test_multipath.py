@@ -121,8 +121,17 @@ class TestMultipathSession:
 
 class TestDaps:
     def test_daps_removes_outages(self):
+        # 15 s at 100 kbps is the smallest shape that passes (a 10 s
+        # flight makes no handover); one step above it in each keeps a
+        # margin.
         base = ScenarioConfig(
-            cc="static", environment="urban", duration=90.0, seed=17
+            cc="static",
+            environment="urban",
+            duration=20.0,
+            seed=17,
+            static_bitrate=2e5,
+            min_bitrate=2e5,
+            max_bitrate=4e5,
         )
         legacy = run_session(base)
         daps = run_session(

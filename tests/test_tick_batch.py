@@ -4,8 +4,9 @@ A session or a single probe is a batch of one row, a fleet one row per
 member and a probe sweep one row per seed (:mod:`repro.cellular.batch`).
 These tests pin what the batch promises beyond bit-identity (which
 ``tests/test_fingerprints.py`` pins): a loud end of the horizon,
-output that does not depend on the horizon, rows that must share one
-config, a finished batch and its planes freed without the cyclic GC,
+output that does not depend on the horizon, a plan streamed in blocks
+equal to one built in one block, rows that must share one config, a
+finished batch and its plan buffers freed without the cyclic GC,
 A3 hints that miss only when something they read changed, a share
 pass equal to the per-UE scheduler calls made row by row, and records
 that hold Python scalars only.
@@ -22,8 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.cellular.batch as batch_module
 import repro.core.fleet as fleet_module
-from repro.cellular.batch import install_fleet_plans, run_lockstep
+from repro.cellular.batch import (
+    build_tick_plans,
+    install_fleet_plans,
+    probe_tick_times,
+    run_lockstep,
+)
 from repro.cellular.cell import (
     CellCapacityConfig,
     CellContention,
@@ -82,6 +89,56 @@ def test_run_past_the_horizon_raises_plan_exhausted():
     assert len(channel.samples) == 51
     with pytest.raises(RuntimeError, match="tick plan exhausted"):
         loop.run_until(10.0)
+
+
+def test_run_past_a_streamed_horizon_raises_plan_exhausted(monkeypatch):
+    # One row of 32 urban cells in 10-tick blocks: 51 ticks, 6 blocks.
+    monkeypatch.setattr(batch_module, "BLOCK_ELEMENTS", 32 * 10)
+    loop = EventLoop()
+    channel = build_channel(URBAN_AIR.with_overrides(seed=3), loop, horizon=5.0)
+    channel.start()
+    loop.run_until(5.0)
+    assert len(channel.samples) == 51
+    with pytest.raises(RuntimeError, match="tick plan exhausted"):
+        loop.run_until(10.0)
+
+
+def plan_ticks(seeds: list[int], horizon: float) -> list[tuple]:
+    """Every tick's RSRP and SNR rows and altitudes, as bytes, block by block."""
+    loop = EventLoop()
+    channels = [
+        build_channel(URBAN_AIR.with_overrides(seed=seed), loop, horizon=horizon)
+        for seed in seeds
+    ]
+    times = probe_tick_times(horizon, 0.0)
+    plan = build_tick_plans(channels, times)
+    ticks = []
+    while True:
+        for j in range(plan.hi - plan.lo):
+            ticks.append((
+                plan.rsrp[:, j].tobytes(),
+                plan.snr_db[:, j].tobytes(),
+                np.array(plan.altitudes[j]).tobytes(),
+            ))
+        if plan.hi == len(times):
+            return ticks
+        plan.next_block()
+
+
+@given(block=st.integers(1, 41))
+@example(block=1)
+@example(block=40)
+@settings(max_examples=25, deadline=None)
+def test_streamed_plan_equals_one_block_byte_for_byte(block):
+    seeds = [3, 4, 5]
+    horizon = 4.0  # 41 ticks
+    whole = plan_ticks(seeds, horizon)
+    with pytest.MonkeyPatch.context() as patch:
+        # Three rows of 32 urban cells, ``block`` ticks per block.
+        patch.setattr(batch_module, "BLOCK_ELEMENTS", len(seeds) * 32 * block)
+        streamed = plan_ticks(seeds, horizon)
+    assert len(whole) == len(streamed) == 41
+    assert streamed == whole
 
 
 def test_samples_do_not_depend_on_the_horizon():
@@ -185,14 +242,15 @@ def test_finished_session_and_fleet_planes_are_freed_by_reference_counting(
 ):
     # A finished session's channel sits in reference cycles (the rate
     # callbacks it hands its links), so only the cyclic GC frees it;
-    # the whole-horizon planes must not wait for that.
+    # the buffers its plan streams its blocks through must not wait
+    # for that. One row of 32 urban cells takes 10-tick blocks and the
+    # 4-member fleet 2-tick ones, so both stream their 31 ticks.
+    monkeypatch.setattr(batch_module, "BLOCK_ELEMENTS", 32 * 10)
     planes = []
 
     def recording(channels, duration):
         state = install_fleet_plans(channels, duration)
-        planes.extend(
-            weakref.ref(plane) for plane in (state.plan.rsrp, state.plan.snr_db)
-        )
+        planes.extend(weakref.ref(plane) for plane in state.plan.buffers)
         return state
 
     monkeypatch.setattr(fleet_module, "install_fleet_plans", recording)
@@ -206,7 +264,8 @@ def test_finished_session_and_fleet_planes_are_freed_by_reference_counting(
         handles = build_session(loop, config)
         handles.start()
         plan = handles.channel._batch.plan
-        planes.extend(weakref.ref(plane) for plane in (plan.rsrp, plan.snr_db))
+        assert plan.hi < 31
+        planes.extend(weakref.ref(plane) for plane in plan.buffers)
         del plan
         loop.run_until(config.duration)
         handles.stop()

@@ -7,7 +7,15 @@ a unit that does not depend on the host. Calls are counted with
 whose code lives inside the ``repro`` package (or, for the fleet,
 ``repro.cellular``) count, as in ``tests/test_media_path_cost.py``.
 
-No wall-clock assertion. The batch's tick kernel moves all rows
+No wall-clock assertion, and one memory gate: a batch's tick plan
+streams its horizon in blocks (:data:`repro.cellular.batch.BLOCK_ELEMENTS`
+elements per plane), so the memory ``tracemalloc`` traces while a
+multi-block plan advances through every tick stays within a few
+blocks' bytes and does not grow with the horizon (the whole-horizon
+planes it replaced took 59 MiB at 60 s and 118 MiB at 120 s for the
+64 rows below; the streamed plan about 20 MiB at both).
+
+The batch's tick kernel moves all rows
 through a tick in four passes and calls into a row's handover engine,
 outlier stream or scheduler only where that row's state can change,
 so most row-ticks make no call at all. An 8-seed probe batch makes
@@ -23,17 +31,24 @@ from __future__ import annotations
 
 import os
 import sys
+import tracemalloc
 
 import repro
+import repro.cellular.batch as batch
+from repro.cellular.batch import install_fleet_plans
 from repro.cellular.channel import MEASUREMENT_PERIOD
 from repro.core.config import ScenarioConfig
 from repro.core.fleet import run_fleet
 from repro.experiments.probes import channel_probe_batch, channel_probe_seed
+from repro.net.simulator import EventLoop
 from tests.test_fingerprints import DENSE_FLEET
+from tests.test_tick_batch import URBAN_AIR, build_channel
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _CELLULAR_DIR = os.path.join(_REPRO_DIR, "cellular") + os.sep
 
+#: One plane of a tick-plan block: ``BLOCK_ELEMENTS`` float64 values.
+BLOCK_BYTES = 8 << 20
 DURATION = 60.0
 #: Ticks of a run started at 0 s, ``run_until(DURATION)`` inclusive.
 TICKS = 601
@@ -100,3 +115,38 @@ def test_fleet_cellular_calls_per_row_tick():
         package=_CELLULAR_DIR,
     )
     assert calls <= 2.0
+
+
+def plan_peak_bytes(n_rows: int, horizon: float) -> int:
+    """Traced peak while an urban batch's plan advances to ``horizon``.
+
+    Only the plan and the filter planes advance (no kernel, so no
+    records that grow with the horizon); the channels are built first.
+    """
+    loop = EventLoop()
+    channels = [
+        build_channel(URBAN_AIR.with_overrides(seed=seed), loop, horizon=horizon)
+        for seed in range(n_rows)
+    ]
+    tracemalloc.start()
+    try:
+        state = install_fleet_plans(channels, horizon)
+        for k in range(round(horizon / MEASUREMENT_PERIOD) + 1):
+            state.advance(k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plan_memory_stays_within_blocks_at_any_horizon():
+    # 64 rows x 32 urban cells: 512-tick blocks, so 60 s (601 ticks)
+    # streams in two blocks and 120 s (1201 ticks) in three.
+    short = plan_peak_bytes(64, 60.0)
+    long = plan_peak_bytes(64, 120.0)
+    # Two block buffers plus one block's per-tick factors and one row's
+    # temporaries; only the tick times and positions grow with the
+    # horizon.
+    assert short <= 3 * BLOCK_BYTES
+    assert long <= 3 * BLOCK_BYTES
+    assert long <= short + BLOCK_BYTES // 4
+    assert batch.BLOCK_ELEMENTS * 8 == BLOCK_BYTES
