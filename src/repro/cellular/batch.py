@@ -352,6 +352,7 @@ class FleetTickState:
         "_rows", "_loop", "_contention", "_times", "_pending", "_ids",
         "_id_column", "_slots", "_slot_ids", "_nbr", "_alpha", "_hysteresis",
         "_config", "_profile", "plan", "f_matrix", "powered", "_k",
+        "next_tick",
     )
 
     def __init__(
@@ -386,6 +387,9 @@ class FleetTickState:
         self.f_matrix: np.ndarray | None = None
         self.powered: np.ndarray | None = None
         self._k = -1
+        #: Time of the tick after the last one run (``inf`` past the
+        #: last planned tick): until then no row's rates change.
+        self.next_tick = times[0]
 
     def advance(self, k: int) -> None:
         """Advance the filter and power planes to tick ``k`` (idempotent).
@@ -412,6 +416,8 @@ class FleetTickState:
             self.f_matrix = (1 - alpha) * self.f_matrix + alpha * rsrp
         self.powered = np.power(10.0, self.f_matrix / 10.0)
         self._k = k
+        times = self._times
+        self.next_tick = times[k + 1] if k + 1 < len(times) else math.inf
 
     def start_row(self, row: int) -> None:
         """Run row ``row``'s tick 0; the last row to start arms tick 1."""

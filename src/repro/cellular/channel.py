@@ -22,6 +22,7 @@ state — the handover engine, the outage, post-handover and outlier
 windows, the congestion episode, the logs — and the few per-row steps
 the batch's kernel calls into. The instantaneous capacity is exposed
 as plain ``rate_fn`` callables for :class:`repro.net.path.NetworkPath`,
+with :meth:`CellularChannel.rate_horizon` saying how long it holds,
 and 1 Hz RSSI samples are logged exactly as coarsely as the paper's
 LTE dongles reported them.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import inf
 
 import numpy as np
 
@@ -335,6 +337,19 @@ class CellularChannel:
     def downlink_rate(self, now: float) -> float:
         """Instantaneous downlink capacity in bits/s."""
         return self._downlink_bps
+
+    def rate_horizon(self) -> float:
+        """Time before which neither rate nor outage state can change.
+
+        Only the tick kernel sets the rates or takes the paths down, so
+        this is the time of the batch's next tick, the run horizon after
+        its last, and ``-inf`` before the channel starts. Paths pass it
+        to their capacity link (see :class:`repro.net.links.CapacityLink`).
+        """
+        if not self._started:
+            return -inf
+        tick = self._batch.next_tick
+        return tick if tick < self._horizon else self._horizon
 
     @cached_property
     def _geometry_key(self) -> tuple:

@@ -179,6 +179,7 @@ def run_control_session(
         ),
         buffer_bytes=config.uplink_buffer_bytes,
         rng=streams.derive("jitter-up"),
+        horizon=channel.rate_horizon,
     )
     downlink = NetworkPath(
         loop, channel.downlink_rate, on_downlink,
@@ -189,6 +190,7 @@ def run_control_session(
         ),
         buffer_bytes=config.downlink_buffer_bytes,
         rng=streams.derive("jitter-down"),
+        horizon=channel.rate_horizon,
     )
     channel.attach_path(uplink)
     channel.attach_path(downlink)

@@ -258,45 +258,48 @@ class VideoSender:
         self._send_next()
 
     def _send_next(self) -> None:
-        # Per-packet hot path. The pacer re-arms with
+        # Per-packet hot path. A paced send re-arms with
         # ``call_at(now + delay)``, the sum ``call_later`` would form,
-        # so the event keys are those of a ``call_later`` pacer.
+        # so the event keys are those of a ``call_later`` pacer. While
+        # the pacing rate is ``inf`` (the static controller never
+        # paces) the next packet leaves in this same callback instead
+        # of a zero-delay event: a frame's packets all leave at once.
         self._pacer_handle = None
         self._pacer_busy = False
         queue = self._queue
-        if not queue:
-            return
         loop = self._loop
         now = loop.now
         controller = self.controller
-        packet = queue[0][0]
-        size = packet.wire_size
-        in_flight = getattr(controller, "bytes_in_flight", 0)
-        if not controller.can_send(in_flight, size, now):
-            # Window-blocked: poll again shortly (feedback will open it).
-            self._pacer_busy = True
-            self._pacer_handle = loop.call_at(now + 0.002, self._send_next)
-            return
-        queue.popleft()
-        self._queued_bytes -= size
-        self.uplink.send(Datagram(size + IP_UDP_OVERHEAD_BYTES, packet))
         stats = self.stats
-        stats.packets_sent += 1
-        stats.bytes_sent += size
-        # Age of the next queued packet, as ``queue_delay`` reports it.
-        head_delay = now - queue[0][1] if queue else 0.0
-        if self.obs.enabled:
-            self._queue_delays.append(head_delay)
-        controller.on_packet_sent(
-            SentPacket(packet.sequence, packet.transport_seq, size, now,
-                       packet.frame_id),
-            now,
-        )
-        controller.on_queue_state(head_delay, self._queued_bytes, now)
-        rate = controller.pacing_rate(now)
-        if rate == inf:
-            delay = 0.0
-        else:
-            delay = bytes_to_bits(size) / (1e4 if 1e4 > rate else rate)
-        self._pacer_busy = True
-        self._pacer_handle = loop.call_at(now + delay, self._send_next)
+        while queue:
+            packet = queue[0][0]
+            size = packet.wire_size
+            in_flight = getattr(controller, "bytes_in_flight", 0)
+            if not controller.can_send(in_flight, size, now):
+                # Window-blocked: poll again shortly (feedback will open it).
+                self._pacer_busy = True
+                self._pacer_handle = loop.call_at(now + 0.002, self._send_next)
+                return
+            queue.popleft()
+            self._queued_bytes -= size
+            self.uplink.send(Datagram(size + IP_UDP_OVERHEAD_BYTES, packet))
+            stats.packets_sent += 1
+            stats.bytes_sent += size
+            # Age of the next queued packet, as ``queue_delay`` reports it.
+            head_delay = now - queue[0][1] if queue else 0.0
+            if self.obs.enabled:
+                self._queue_delays.append(head_delay)
+            controller.on_packet_sent(
+                SentPacket(packet.sequence, packet.transport_seq, size, now,
+                           packet.frame_id),
+                now,
+            )
+            controller.on_queue_state(head_delay, self._queued_bytes, now)
+            rate = controller.pacing_rate(now)
+            if rate != inf:
+                self._pacer_busy = True
+                self._pacer_handle = loop.call_at(
+                    now + bytes_to_bits(size) / (1e4 if 1e4 > rate else rate),
+                    self._send_next,
+                )
+                return

@@ -442,6 +442,7 @@ def build_session(
         jitter=jitter_up,
         obs=obs,
         name="uplink",
+        horizon=channel.rate_horizon,
     )
     downlink = NetworkPath(
         loop,
@@ -460,6 +461,7 @@ def build_session(
         jitter=jitter_down,
         obs=obs,
         name="downlink",
+        horizon=channel.rate_horizon,
     )
     receiver.downlink = downlink
     # Uplink first: outage recovery restarts the paths in attach

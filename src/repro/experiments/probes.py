@@ -140,6 +140,7 @@ class _PingProbe:
             base_delay=config.base_owd,
             jitter_std=config.owd_jitter_std,
             rng=streams.derive("jitter-up"),
+            horizon=self._channel.rate_horizon,
         )
         self._downlink = NetworkPath(
             self._loop,
@@ -148,6 +149,7 @@ class _PingProbe:
             base_delay=config.base_owd,
             jitter_std=config.owd_jitter_std,
             rng=streams.derive("jitter-down"),
+            horizon=self._channel.rate_horizon,
         )
         self._channel.attach_path(self._uplink)
         self._channel.attach_path(self._downlink)

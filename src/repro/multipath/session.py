@@ -187,6 +187,7 @@ def run_multipath_session(
             ),
             buffer_bytes=config.uplink_buffer_bytes,
             rng=substreams.derive("jitter"),
+            horizon=channel.rate_horizon,
         )
         channel.attach_path(path)
         channels.append(channel)
@@ -199,6 +200,7 @@ def run_multipath_session(
         lambda datagram: None,
         base_delay=config.base_owd,
         jitter_std=0.0,
+        horizon=channels[0].rate_horizon,
     )
     source = SourceVideo(streams.derive("source"), fps=config.fps)
     encoder = EncoderModel(

@@ -18,6 +18,7 @@ handover manager can silence the radio during handover execution.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,13 @@ from repro.util.rng import BatchedNormal
 from repro.util.units import bytes_to_bits
 
 DeliverFn = Callable[[Datagram], None]
+HandOffFn = Callable[[Datagram, float], None]
 RateFn = Callable[[float], float]
+HorizonFn = Callable[[], float]
+
+
+def _no_horizon() -> float:
+    return -inf
 
 
 class LinkStats:
@@ -40,15 +47,6 @@ class LinkStats:
         self.dropped_overflow = 0
         self.bytes_delivered = 0
 
-    def as_dict(self) -> dict[str, int]:
-        """Snapshot of the counters for reporting."""
-        return {
-            "enqueued": self.enqueued,
-            "delivered": self.delivered,
-            "dropped_overflow": self.dropped_overflow,
-            "bytes_delivered": self.bytes_delivered,
-        }
-
 
 class CapacityLink:
     """Drop-tail FIFO drained at a time-varying rate.
@@ -59,63 +57,81 @@ class CapacityLink:
         Event loop driving the simulation.
     rate_fn:
         Callable mapping simulated time to the instantaneous link rate
-        in bits/s. Sampled at the start of each packet transmission.
+        in bits/s. Sampled when a packet is serialized.
     buffer_bytes:
         Drop-tail queue limit. Cellular uplinks use deep buffers; the
         default corresponds to roughly 1.5 s at 16 Mbps.
     deliver:
-        Downstream callback invoked when a packet finishes serializing.
+        Downstream hand-off ``deliver(datagram, done)``: ``done`` is the
+        time the datagram finishes serializing. A link with a horizon
+        may hand a datagram off before ``done``, so ``deliver`` acts at
+        ``done``, not at the loop's clock, and sends nothing on this
+        link.
     min_rate_bps:
         Floor applied to ``rate_fn`` output to avoid division blow-ups
         when the channel model reports a dead zone; genuine outages
         should use :meth:`set_up` instead.
+    horizon:
+        Optional callable giving the time before which neither
+        ``rate_fn`` nor the up state can change (a channel's next tick,
+        see :meth:`repro.cellular.channel.CellularChannel.rate_horizon`).
+        A packet that reaches a free link, or that would start before
+        the horizon, is serialized at enqueue at the rate read then,
+        and one that also finishes before it is handed off at once; the
+        packet that finishes at or past the horizon is handed off by
+        one finish event, which also serializes whatever waits behind
+        it. Without a horizon every packet is handed off by its own
+        finish event. Either way each datagram is handed off in FIFO
+        order with the finish time a per-packet event loop gives it.
     """
 
     def __init__(
         self,
         loop: EventLoop,
         rate_fn: RateFn,
-        deliver: DeliverFn,
+        deliver: HandOffFn,
         *,
         buffer_bytes: int = 3_000_000,
         min_rate_bps: float = 10_000.0,
+        horizon: HorizonFn | None = None,
     ) -> None:
         if buffer_bytes <= 0:
             raise ValueError(f"buffer_bytes must be positive, got {buffer_bytes}")
         self._loop = loop
         self._rate_fn = rate_fn
         self._deliver = deliver
+        self._horizon = horizon if horizon is not None else _no_horizon
         self.buffer_bytes = buffer_bytes
         self.min_rate_bps = min_rate_bps
+        #: Packets waiting to be serialized, and their bytes.
         self._queue: deque[Datagram] = deque()
         self._queued_bytes = 0
+        #: ``(start, size)`` of serialized packets whose start may lie
+        #: ahead of the clock: until it passes they are still queued,
+        #: as far as the drop-tail limit is concerned.
+        self._ahead: deque[tuple[float, int]] = deque()
+        self._ahead_bytes = 0
+        #: When the last serialized packet finishes.
+        self._free_at = 0.0
+        #: The last horizon read and the (floored) rate read with it:
+        #: until that time the rate cannot change, so it is reused.
+        self._until = -inf
+        self._rate = 0.0
         self._busy = False
         self._up = True
-        #: The single datagram currently serializing (``_busy`` guards
-        #: exclusivity), kept on the instance so the per-packet finish
-        #: event is a bound method instead of a fresh closure.
+        #: The datagram whose finish event is pending (``_busy``), kept
+        #: on the instance so that event is a bound method instead of a
+        #: fresh closure.
         self._inflight: Datagram | None = None
         self.stats = LinkStats()
 
     @property
     def queued_bytes(self) -> int:
-        """Bytes currently waiting in the buffer (excludes in-flight)."""
-        return self._queued_bytes
-
-    @property
-    def queue_length(self) -> int:
-        """Packets currently waiting in the buffer."""
-        return len(self._queue)
-
-    @property
-    def is_up(self) -> bool:
-        """Whether the radio is currently able to transmit."""
-        return self._up
-
-    def queuing_delay_estimate(self) -> float:
-        """Approximate sojourn time of a packet entering the queue now."""
-        rate = max(self._rate_fn(self._loop.now), self.min_rate_bps)
-        return bytes_to_bits(self._queued_bytes) / rate
+        """Bytes of every packet that has not started serializing yet."""
+        now = self._loop.now
+        return self._queued_bytes + sum(
+            size for start, size in self._ahead if start >= now
+        )
 
     def set_up(self, up: bool) -> None:
         """Raise or silence the link (handover execution windows).
@@ -125,46 +141,71 @@ class CapacityLink:
         """
         was_up = self._up
         self._up = up
-        if up and not was_up:
-            self._maybe_start()
+        if up and not was_up and not self._busy and self._queue:
+            self._serve()
 
     def send(self, datagram: Datagram) -> None:
         """Enqueue ``datagram``, dropping it if the buffer is full."""
         self.stats.enqueued += 1
         size = datagram.size_bytes
-        if self._queued_bytes + size > self.buffer_bytes:
+        ahead = self._ahead
+        if ahead:
+            # Forget the serialized packets that have started by now.
+            now = self._loop.now
+            while ahead and ahead[0][0] < now:
+                self._ahead_bytes -= ahead.popleft()[1]
+        if self._queued_bytes + self._ahead_bytes + size > self.buffer_bytes:
             self.stats.dropped_overflow += 1
-            return
-        if not self._busy and self._up and not self._queue:
-            # Idle link: the datagram would be the queue head at once,
-            # so it starts serializing without the enqueue round trip.
-            self._start(datagram)
             return
         self._queue.append(datagram)
         self._queued_bytes += size
-        if not self._busy:
-            self._maybe_start()
+        if not self._busy and self._up:
+            self._serve()
 
-    def _maybe_start(self) -> None:
-        if self._busy or not self._up or not self._queue:
-            return
-        datagram = self._queue.popleft()
-        self._queued_bytes -= datagram.size_bytes
-        self._start(datagram)
+    def _serve(self) -> None:
+        """Serialize waiting packets, from now and ahead to the horizon.
 
-    def _start(self, datagram: Datagram) -> None:
-        """Begin serializing ``datagram`` at the current link rate."""
+        Runs while the link is up and no finish event is pending, so the
+        link is free from ``_free_at`` on, and ``_free_at`` is either
+        past or before the horizon (a packet handed off at once finished
+        before it). Every packet starts where the one ahead finishes,
+        at the rate read now, until one finishes at or past the horizon.
+        """
         loop = self._loop
         now = loop.now
-        rate = self._rate_fn(now)
-        floor = self.min_rate_bps
-        if floor > rate:
-            rate = floor
-        self._busy = True
-        self._inflight = datagram
-        loop.schedule_at(
-            now + bytes_to_bits(datagram.size_bytes) / rate, self._finish
-        )
+        if now < self._until:
+            rate = self._rate
+        else:
+            rate = self._rate_fn(now)
+            floor = self.min_rate_bps
+            if floor > rate:
+                rate = floor
+            self._rate = rate
+            self._until = self._horizon()
+        horizon = self._until
+        start = self._free_at
+        if now > start:
+            start = now
+        queue = self._queue
+        stats = self.stats
+        while queue:
+            datagram = queue.popleft()
+            size = datagram.size_bytes
+            self._queued_bytes -= size
+            if start > now:
+                self._ahead.append((start, size))
+                self._ahead_bytes += size
+            done = start + bytes_to_bits(size) / rate
+            self._free_at = done
+            if done >= horizon:
+                self._busy = True
+                self._inflight = datagram
+                loop.schedule_at(done, self._finish)
+                return
+            stats.delivered += 1
+            stats.bytes_delivered += size
+            self._deliver(datagram, done)
+            start = done
 
     def _finish(self) -> None:
         datagram = self._inflight
@@ -173,9 +214,9 @@ class CapacityLink:
         stats = self.stats
         stats.delivered += 1
         stats.bytes_delivered += datagram.size_bytes
-        self._deliver(datagram)
-        if self._queue:
-            self._maybe_start()
+        self._deliver(datagram, self._loop.now)
+        if self._queue and not self._busy and self._up:
+            self._serve()
 
 
 class DelayLine:
@@ -221,15 +262,15 @@ class DelayLine:
         self._last_delivery = -1.0
         self.stats = LinkStats()
 
-    def send(self, datagram: Datagram) -> None:
-        """Deliver ``datagram`` after the propagation delay."""
+    def send(self, datagram: Datagram, at: float | None = None) -> None:
+        """Deliver ``datagram`` the propagation delay after ``at`` (default now)."""
         self.stats.enqueued += 1
         delay = self.base_delay
         if self.jitter_std > 0 and self._jitter is not None:
             # half-normal jitter: the floor is the physical minimum
             delay += abs(self._jitter.normal(0.0, self.jitter_std))
         loop = self._loop
-        arrival = loop.now + delay
+        arrival = (loop.now if at is None else at) + delay
         last = self._last_delivery
         if last > arrival:
             arrival = last

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.net.links import CapacityLink, DelayLine, RateFn
+from repro.net.links import CapacityLink, DelayLine, HorizonFn, RateFn
 from repro.util.rng import BatchedNormal
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import Datagram
@@ -56,6 +56,11 @@ class NetworkPath:
         the attribution engine matches against stalls).
     name:
         Path label stamped on trace records (e.g. ``"uplink"``).
+    horizon:
+        Optional time before which ``rate_fn`` and the outage state
+        cannot change, for the capacity link to serialize ahead to
+        (a channel's :meth:`~repro.cellular.channel.CellularChannel.rate_horizon`;
+        see :class:`repro.net.links.CapacityLink`).
     """
 
     def __init__(
@@ -72,12 +77,12 @@ class NetworkPath:
         jitter: BatchedNormal | None = None,
         obs: NullRecorder = NULL_RECORDER,
         name: str = "",
+        horizon: HorizonFn | None = None,
     ) -> None:
         self._loop = loop
         self._receive = receive
         self.loss_model = loss_model if loss_model is not None else NoLoss()
         self.lost_packets = 0
-        self.sent_packets = 0
         self.obs = obs
         self.name = name
         self._burst_packets = 0
@@ -101,26 +106,28 @@ class NetworkPath:
             rate_fn,
             self._after_radio,
             buffer_bytes=buffer_bytes,
+            horizon=horizon,
         )
 
     def send(self, datagram: Datagram) -> None:
         """Inject ``datagram`` at the sender side of the path."""
         datagram.sent_at = self._loop.now
-        self.sent_packets += 1
         self.capacity_link.send(datagram)
 
-    def _after_radio(self, datagram: Datagram) -> None:
+    def _after_radio(self, datagram: Datagram, done: float) -> None:
+        # ``done`` is when the datagram left the radio queue, which the
+        # capacity link may hand off ahead of the clock.
         if self.loss_model.should_drop():
             self.lost_packets += 1
             if self.obs.enabled:
                 if self._burst_packets == 0:
-                    self._burst_t0 = self._loop.now
+                    self._burst_t0 = done
                 self._burst_packets += 1
-                self._burst_t1 = self._loop.now
+                self._burst_t1 = done
             return
         if self.obs.enabled and self._burst_packets:
             self._close_burst()
-        self.delay_line.send(datagram)
+        self.delay_line.send(datagram, done)
 
     def _close_burst(self) -> None:
         self.obs.span_at(
@@ -146,15 +153,3 @@ class NetworkPath:
     def set_up(self, up: bool) -> None:
         """Propagate radio outage state to the capacity link."""
         self.capacity_link.set_up(up)
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of sent packets dropped by the loss gate so far."""
-        if self.sent_packets == 0:
-            return 0.0
-        return self.lost_packets / self.sent_packets
-
-    @property
-    def queued_bytes(self) -> int:
-        """Bytes waiting in the radio buffer."""
-        return self.capacity_link.queued_bytes

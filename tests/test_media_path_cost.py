@@ -9,10 +9,19 @@ standard library and dataclass-generated ``__init__`` methods stay
 out, so the figure does not move between Python versions.
 
 No wall-clock assertion. Each ceiling sits a few calls above what the
-media path makes (about 43, 55 and 59); a path that recomputes
+media path makes (about 34, 51 and 53); a path that recomputes
 ``wire_size`` on every read and pays ``max`` and helper hops on every
-packet makes about 70, 86 and 100, and SCReAM feedback built as one
-object per report position and walked position by position makes 68.
+packet makes about 70, 86 and 100, SCReAM feedback built as one object
+per report position and walked position by position makes 68, and a
+link finish event per packet and a zero-delay pacer event per unpaced
+packet make about 43, 55 and 57.
+
+Event-loop pushes per sent packet are gated the same way (about 1.05,
+2.27 and 2.50): links serialize ahead to the channel's next tick and
+an unpaced frame leaves in one pacer callback, so a packet costs one
+push for its arrival plus its pacer re-arm when paced. A link finish
+event per packet and a zero-delay pacer event per unpaced packet make
+3.05, 3.29 and 3.52.
 
 The metrics tier is gated the same way, as the calls it adds per sent
 packet over obs off. Its per-packet metrics are folds of the run's
@@ -32,6 +41,7 @@ import repro
 from repro.core.config import ScenarioConfig
 from repro.core.receiver import PacketLogEntry
 from repro.core.session import run_session
+from repro.net.simulator import EventLoop
 from repro.rtp.ccfb import CcfbPacketReport
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
@@ -62,13 +72,35 @@ def repro_calls_per_packet(config: ScenarioConfig, obs: str = "off") -> float:
 
 @pytest.mark.parametrize(
     ("cc", "duration", "ceiling"),
-    [("static", 5.0, 48.0), ("gcc", 10.0, 60.0), ("scream", 10.0, 64.0)],
+    [("static", 5.0, 36.0), ("gcc", 10.0, 54.0), ("scream", 10.0, 56.0)],
 )
 def test_repro_calls_per_sent_packet(cc, duration, ceiling):
     config = ScenarioConfig(
         cc=cc, environment="urban", platform="air", duration=duration, seed=3
     )
     assert repro_calls_per_packet(config) <= ceiling
+
+
+@pytest.mark.parametrize(
+    ("cc", "duration", "ceiling"),
+    [("static", 5.0, 1.1), ("gcc", 10.0, 2.35), ("scream", 10.0, 2.6)],
+)
+def test_heap_pushes_per_sent_packet(cc, duration, ceiling, monkeypatch):
+    pushes = []
+    for name in ("call_at", "schedule_at"):
+        push = getattr(EventLoop, name)
+
+        def counting(loop, when, callback, push=push):
+            pushes.append(1)
+            return push(loop, when, callback)
+
+        monkeypatch.setattr(EventLoop, name, counting)
+    config = ScenarioConfig(
+        cc=cc, environment="urban", platform="air", duration=duration, seed=3
+    )
+    result = run_session(config)
+    assert result.packets_sent > 0
+    assert len(pushes) / result.packets_sent <= ceiling
 
 
 def test_scream_session_builds_no_per_packet_reports(monkeypatch):

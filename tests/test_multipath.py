@@ -6,6 +6,7 @@ import pytest
 from repro import ScenarioConfig, run_session
 from repro.multipath import DedupReceiver, MultipathUplink, run_multipath_session
 from repro.net.packet import Datagram
+from repro.net.path import NetworkPath
 from repro.rtp.packets import RtpPacket
 
 
@@ -120,7 +121,7 @@ class TestMultipathSession:
 
 
 class TestDaps:
-    def test_daps_removes_outages(self):
+    def test_daps_removes_outages(self, monkeypatch):
         # 15 s at 100 kbps is the smallest shape that passes (a 10 s
         # flight makes no handover); one step above it in each keeps a
         # margin.
@@ -133,17 +134,37 @@ class TestDaps:
             min_bitrate=2e5,
             max_bitrate=4e5,
         )
+        # Every outage goes through NetworkPath.set_up: record when a
+        # path is taken down.
+        downs = []
+        set_up = NetworkPath.set_up
+
+        def spy(path, up):
+            if not up:
+                downs.append(path._loop.now)
+            set_up(path, up)
+
+        monkeypatch.setattr(NetworkPath, "set_up", spy)
         legacy = run_session(base)
+        legacy_downs = list(downs)
+        downs.clear()
         daps = run_session(
             base.with_overrides(extra={"make_before_break": True})
         )
         # Both see handovers...
+        assert len(legacy.handovers) >= 2
         assert len(daps.handovers) > 0
+        # ...but only the legacy handovers take both paths down, each
+        # at its handover; DAPS keeps the link up throughout.
+        assert legacy_downs == [
+            event.time for event in legacy.handovers for _ in range(2)
+        ]
+        assert downs == []
         legacy_p99 = np.percentile(
             [e.received_at - e.sent_at for e in legacy.packet_log], 99.5
         )
         daps_p99 = np.percentile(
             [e.received_at - e.sent_at for e in daps.packet_log], 99.5
         )
-        # ...but DAPS trims the outage-driven tail.
+        # ...and DAPS trims the outage-driven tail.
         assert daps_p99 <= legacy_p99

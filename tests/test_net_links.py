@@ -59,7 +59,7 @@ class TestCapacityLink:
     def test_serialization_time_matches_rate(self):
         loop = EventLoop()
         arrived = []
-        link = CapacityLink(loop, lambda t: 8e6, lambda d: arrived.append(loop.now))
+        link = CapacityLink(loop, lambda t: 8e6, lambda d, done: arrived.append(done))
         link.send(make_datagram(1000))  # 8000 bits at 8 Mbps = 1 ms
         loop.run()
         assert arrived == [pytest.approx(0.001)]
@@ -67,7 +67,9 @@ class TestCapacityLink:
     def test_fifo_order_and_back_to_back_serialization(self):
         loop = EventLoop()
         arrived = []
-        link = CapacityLink(loop, lambda t: 8e6, lambda d: arrived.append((d.uid, loop.now)))
+        link = CapacityLink(
+            loop, lambda t: 8e6, lambda d, done: arrived.append((d.uid, done))
+        )
         d1, d2 = make_datagram(1000), make_datagram(1000)
         link.send(d1)
         link.send(d2)
@@ -79,7 +81,7 @@ class TestCapacityLink:
         loop = EventLoop()
         arrived = []
         link = CapacityLink(
-            loop, lambda t: 8e6, lambda d: arrived.append(d), buffer_bytes=2500
+            loop, lambda t: 8e6, lambda d, done: arrived.append(d), buffer_bytes=2500
         )
         for _ in range(5):
             link.send(make_datagram(1000))
@@ -91,7 +93,7 @@ class TestCapacityLink:
     def test_outage_holds_queued_packets(self):
         loop = EventLoop()
         arrived = []
-        link = CapacityLink(loop, lambda t: 8e6, lambda d: arrived.append(loop.now))
+        link = CapacityLink(loop, lambda t: 8e6, lambda d, done: arrived.append(done))
         link.set_up(False)
         link.send(make_datagram(1000))
         loop.call_at(1.0, lambda: link.set_up(True))
@@ -103,7 +105,9 @@ class TestCapacityLink:
         arrived = []
         rates = {0: 8e6}
         link = CapacityLink(
-            loop, lambda t: 8e6 if t < 0.0005 else 4e6, lambda d: arrived.append(loop.now)
+            loop,
+            lambda t: 8e6 if t < 0.0005 else 4e6,
+            lambda d, done: arrived.append(done),
         )
         link.send(make_datagram(1000))
         link.send(make_datagram(1000))
@@ -111,20 +115,140 @@ class TestCapacityLink:
         assert arrived[0] == pytest.approx(0.001)
         assert arrived[1] == pytest.approx(0.001 + 0.002)
 
-    def test_queuing_delay_estimate(self):
-        loop = EventLoop()
-        link = CapacityLink(loop, lambda t: 8e6, lambda d: None)
-        link.set_up(False)
-        link.send(make_datagram(1000))
-        assert link.queuing_delay_estimate() == pytest.approx(0.001)
-
     def test_min_rate_floor_prevents_divide_blowup(self):
         loop = EventLoop()
         arrived = []
-        link = CapacityLink(loop, lambda t: 0.0, lambda d: arrived.append(loop.now))
+        link = CapacityLink(loop, lambda t: 0.0, lambda d, done: arrived.append(done))
         link.send(make_datagram(125))  # 1000 bits at 10 kbps floor = 0.1 s
         loop.run()
         assert arrived == [pytest.approx(0.1)]
+
+
+def run_ticked_link(scenario, *, with_horizon):
+    """Drive one link through ``scenario``; return its hand-offs and drops.
+
+    The rate changes only at tick times, an outage starts at a tick and
+    ends at any time, and the run stops at ``run_end``. Every tick,
+    outage end and send is scheduled before the run, in that order, so
+    the event order is the same with and without a horizon. Hand-offs
+    are ``(send index, done)`` in hand-off order; drops are send indices.
+    """
+    times, rates, outages, sends, buffer_bytes, run_end = scenario
+    loop = EventLoop()
+    state = {"k": -1, "rate": 1e6}
+
+    def horizon():
+        k = state["k"] + 1
+        return times[k] if k < len(times) else run_end
+
+    handoffs = []
+    link = CapacityLink(
+        loop,
+        lambda now: state["rate"],
+        lambda d, done: handoffs.append((d.payload, done)),
+        buffer_bytes=buffer_bytes,
+        horizon=horizon if with_horizon else None,
+    )
+
+    def tick(k):
+        state["k"] = k
+        state["rate"] = rates[k]
+        if k in outages:
+            link.set_up(False)
+
+    drops = []
+
+    def send(index, size):
+        dropped = link.stats.dropped_overflow
+        link.send(Datagram(size_bytes=size, payload=index))
+        if link.stats.dropped_overflow > dropped:
+            drops.append(index)
+
+    for k, t in enumerate(times):
+        loop.schedule_at(t, lambda k=k: tick(k))
+    for k, length in outages.items():
+        loop.schedule_at(times[k] + length, lambda: link.set_up(True))
+    for index, (t, size) in enumerate(sends):
+        loop.schedule_at(t, lambda i=index, n=size: send(i, n))
+    loop.run_until(run_end)
+    return handoffs, drops
+
+
+@st.composite
+def tick_scenarios(draw):
+    period = draw(st.sampled_from([0.01, 0.1]))
+    run_end = draw(st.floats(0.0, 1.0))
+    times = []
+    while len(times) * period <= run_end:
+        times.append(len(times) * period)
+    # Log-uniform from below the link's rate floor to 4 Mbps: a packet
+    # takes from a few hundred microseconds to longer than the run.
+    rates = draw(st.lists(
+        st.floats(3.7, 6.6).map(lambda exponent: 10.0 ** exponent),
+        min_size=len(times), max_size=len(times),
+    ))
+    outages = draw(st.dictionaries(
+        st.integers(0, len(times) - 1), st.floats(1e-4, 0.3), max_size=4
+    ))
+    # Bursts of packets sent at one instant, as a frame leaves the
+    # pacer, some at a tick's instant (after the tick).
+    bursts = sorted(draw(st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, run_end), st.sampled_from(times)),
+            st.lists(st.integers(40, 1500), min_size=1, max_size=8),
+        ),
+        min_size=1, max_size=10,
+    )), key=lambda burst: burst[0])
+    sends = [(t, size) for t, sizes in bursts for size in sizes]
+    buffer_bytes = draw(st.integers(1500, 8000))
+    return times, rates, outages, sends, buffer_bytes, run_end
+
+
+class TestTickHorizon:
+    """A link serializing ahead to the next tick is the no-horizon link."""
+
+    @given(scenario=tick_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_horizon_link_equals_no_horizon_link(self, scenario):
+        reference = run_ticked_link(scenario, with_horizon=False)
+        handoffs, drops = run_ticked_link(scenario, with_horizon=True)
+        assert handoffs == reference[0]
+        assert drops == reference[1]
+        run_end = scenario[-1]
+        assert all(done <= run_end for _, done in handoffs)
+
+    def test_serializes_ahead_until_the_horizon(self):
+        loop = EventLoop()
+        handed = []
+        link = CapacityLink(
+            loop,
+            lambda t: 8e6,
+            lambda d, done: handed.append((loop.now, done)),
+            horizon=lambda: 0.0025,
+        )
+        for _ in range(3):
+            link.send(make_datagram(1000))  # 1 ms each at 8 Mbps
+        # The first two finish before the horizon and leave at once;
+        # the third finishes past it and waits for its finish event.
+        assert handed == [(0.0, pytest.approx(0.001)), (0.0, pytest.approx(0.002))]
+        assert loop.pending() == 1
+        loop.run()
+        assert handed[2] == (pytest.approx(0.003), pytest.approx(0.003))
+
+    def test_unstarted_packets_count_against_the_buffer(self):
+        loop = EventLoop()
+        link = CapacityLink(
+            loop, lambda t: 8e6, lambda d, done: None,
+            buffer_bytes=2500, horizon=lambda: 1.0,
+        )
+        for _ in range(5):
+            link.send(make_datagram(1000))
+        # All three admitted packets are handed off at once, but only
+        # the first has started: the other two still fill the buffer.
+        assert link.stats.dropped_overflow == 2
+        assert link.queued_bytes == 2000
+        loop.run_until(0.0015)
+        assert link.queued_bytes == 1000
 
 
 class TestDelayLine:
@@ -251,7 +375,6 @@ class TestNetworkPath:
         loop.run()
         assert received == []
         assert path.lost_packets == 10
-        assert path.loss_rate == 1.0
 
     def test_jitter_requires_rng(self):
         loop = EventLoop()

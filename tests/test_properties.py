@@ -26,7 +26,10 @@ class TestConservationLaws:
         loop = EventLoop()
         delivered = []
         link = CapacityLink(
-            loop, lambda t: 8e6, delivered.append, buffer_bytes=buffer_bytes
+            loop,
+            lambda t: 8e6,
+            lambda d, done: delivered.append(d),
+            buffer_bytes=buffer_bytes,
         )
         for size in sizes:
             link.send(Datagram(size_bytes=size, payload=None))
