@@ -86,7 +86,6 @@ def _tick_positions(traj_key: tuple, anchor: float, n_ticks: int) -> np.ndarray:
     return trajectory.positions_at(ticks)
 
 
-@lru_cache(maxsize=8)
 def _tick_geometry(
     traj_key: tuple,
     offset: tuple,
@@ -110,16 +109,11 @@ def _tick_geometry(
     computed on its own, so a block of ticks equals the same rows of
     the whole horizon, byte for byte.
 
-    Keyed on value tuples (waypoints, ground-plane offset, cell
-    parameters, propagation config), so repeated runs over the same
-    trajectory and layout — same-seed re-runs, parallel-vs-serial
-    equality checks, cached campaign replays — reuse the arrays across
-    channel instances. Only a whole horizon is worth keeping: a plan
-    that streams its horizon in blocks calls the uncached
-    ``_tick_geometry.__wrapped__``, since its block keys never repeat
-    within the cache's reach. ``offset`` is the translated-trajectory
-    shift (see :class:`~repro.flight.trajectory.TranslatedTrajectory`):
-    every member of a fleet ring shares the base position table in
+    Takes value tuples (waypoints, ground-plane offset, cell
+    parameters, propagation config). ``offset`` is the
+    translated-trajectory shift (see
+    :class:`~repro.flight.trajectory.TranslatedTrajectory`): every
+    member of a fleet ring shares the base position table in
     :func:`_tick_positions` and only the loss/gain pass below runs per
     member.
     """
@@ -371,15 +365,8 @@ class CellularChannel:
     def _geometry(
         self, anchor: float, n_ticks: int, lo: int, hi: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(rsrp_det, loss)`` at the ticks :meth:`_altitudes` takes.
-
-        Through :func:`_tick_geometry`'s cache for a whole horizon
-        (``lo == 0`` and ``hi == n_ticks``), around it for a block.
-        """
-        geometry = (
-            _tick_geometry if hi - lo == n_ticks else _tick_geometry.__wrapped__
-        )
-        return geometry(*self._geometry_key, anchor, n_ticks, lo, hi)
+        """``(rsrp_det, loss)`` at the ticks :meth:`_altitudes` takes."""
+        return _tick_geometry(*self._geometry_key, anchor, n_ticks, lo, hi)
 
     def start(self) -> None:
         """Begin the 10 Hz measurement/update loop.

@@ -203,6 +203,8 @@ def run_control_session(
         encoder = EncoderModel(
             streams.derive("encoder"),
             fps=config.fps,
+            min_bitrate=config.min_bitrate,
+            max_bitrate=config.max_bitrate,
             initial_bitrate=controller.target_bitrate(0.0),
         )
         sender = VideoSender(loop, source, encoder, controller, uplink)
@@ -210,6 +212,7 @@ def run_control_session(
             loop, controller, downlink,
             fps=config.fps,
             jitter_buffer_latency=config.jitter_buffer_latency,
+            drop_on_latency=config.jitter_buffer_drop_on_latency,
             scream_ack_window=config.scream_ack_window,
         )
         receiver_holder.append(receiver)

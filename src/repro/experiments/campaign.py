@@ -12,28 +12,29 @@ Three run modes with very different costs:
   measured with pings "without cross traffic").
 
 All three decompose their (config x seed) matrix into independent
-work units and execute them through a :class:`CampaignRunner`, so any
-campaign parallelizes over a process pool (``workers=N``) and repeats
-for free from the on-disk result cache. ``workers=1`` without a cache
-preserves the classic serial in-process path. Results are grouped in
-submission order, so the grouped output is identical for every worker
-count.
+work units and execute them through a :class:`CampaignRunner`. The
+``runner=`` argument is the only execution knob: pass a runner to
+parallelize over a process pool, read and fill a result cache or
+report progress (it stays open for the next campaign). Without one, a
+driver runs its units in-process on a ``CampaignRunner(1,
+batch=True)`` of its own, closed when the campaign ends. Results are
+grouped in submission order, so the grouped output is identical for
+every worker count.
 
-Campaign-owned runners additionally execute each scenario's seed sweep
-as one struct-of-arrays batch (:mod:`repro.runner.batch`): channel
-probes run as one tick batch with a row per seed
-(:mod:`repro.cellular.batch`, the one tick path every channel takes)
-and sessions share one
+A batching runner executes each scenario's seed sweep as one
+struct-of-arrays batch (:mod:`repro.runner.batch`): channel probes run
+as one tick batch with a row per seed (:mod:`repro.cellular.batch`,
+the one tick path every channel takes) and sessions share one
 :class:`~repro.util.rng.SweepDrawPlan` refill per stream. Batched
-results are packet-for-packet identical to scalar execution (pinned by
-``tests/test_fingerprints.py``), and non-batchable units — ping
-probes, fleets, ``obs=True`` sessions — transparently fall back to
-the scalar path.
+results equal per-unit execution (pinned by
+``tests/test_fingerprints.py``), and the units the planner leaves out
+— ping probes, fleets, ``obs=True`` sessions — run one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cellular.handover import HandoverEvent
 from repro.core.config import ScenarioConfig
@@ -45,62 +46,40 @@ from repro.runner import (
     WORK_PING_PROBE,
     WORK_SESSION,
     CampaignRunner,
-    ResultCache,
+    WorkUnit,
 )
-from repro.runner.engine import ProgressFn
 from repro.runner.work import make_unit
 
 
-def _resolve_runner(
-    runner: CampaignRunner | None,
-    workers: int | None,
-    cache: ResultCache | None,
-    progress: ProgressFn | None,
-) -> tuple[CampaignRunner, bool]:
-    """Return ``(engine, owned)`` — the runner to use and whether this
-    call created it.
+def _run_units(runner: CampaignRunner | None, units: list[WorkUnit]) -> list[Any]:
+    """Run ``units`` on the caller's runner, left open, or else on an
+    owned ``CampaignRunner(1, batch=True)`` closed on exit.
 
-    Internally-created runners must be closed by the caller when the
-    campaign ends (their pools are persistent since PR 3, so leaving
-    them open leaks worker processes); caller-supplied runners stay
-    open for reuse across campaigns.
-
-    Owned runners enable seed-sweep batching (``batch=True``): the
-    scenario matrices built here repeat configs across seeds, which is
-    exactly the shape :mod:`repro.runner.batch` turns into
-    struct-of-arrays sweeps — bit-identical to scalar execution, so it
-    is safe as a default. A caller-supplied runner keeps whatever
-    ``batch`` setting it was constructed with.
+    The scenario matrices built here repeat configs across seeds,
+    which is exactly the shape :mod:`repro.runner.batch` turns into
+    struct-of-arrays sweeps, so the owned runner batches. A
+    caller-supplied runner keeps whatever ``batch`` setting it was
+    constructed with.
     """
     if runner is not None:
-        return runner, False
-    return (
-        CampaignRunner(
-            workers if workers is not None else 1,
-            cache=cache,
-            progress=progress,
-            batch=True,
-        ),
-        True,
-    )
+        return runner.run(units)
+    with CampaignRunner(1, batch=True) as owned:
+        return owned.run(units)
 
 
 def run_matrix(
     base_configs: list[ScenarioConfig],
     settings: ExperimentSettings,
     *,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
     runner: CampaignRunner | None = None,
-    progress: ProgressFn | None = None,
     obs: bool = False,
 ) -> dict[str, list[SessionResult]]:
     """Run every config across the settings' seeds.
 
     Returns results grouped by the config's label (seed excluded), one
-    entry per seed. Pass ``workers``/``cache`` (or a preconfigured
-    ``runner``) to parallelize and cache the underlying sessions; the
-    grouped result is identical for any worker count. With
+    entry per seed. Pass a preconfigured ``runner`` to parallelize and
+    cache the underlying sessions; the grouped result is identical for
+    any worker count. With
     ``obs=True`` every session runs instrumented and ships its metric
     snapshot in ``result.extra["metrics"]`` plus its SLO diagnosis in
     ``result.extra["diagnosis"]``; the runner additionally merges them
@@ -109,7 +88,6 @@ def run_matrix(
     latency violations attributable to handover, Fig. 9) are available
     without reprocessing individual sessions.
     """
-    engine, owned = _resolve_runner(runner, workers, cache, progress)
     units = [
         make_unit(
             WORK_SESSION,
@@ -119,11 +97,7 @@ def run_matrix(
         for base in base_configs
         for seed in settings.seeds
     ]
-    try:
-        results = engine.run(units)
-    finally:
-        if owned:
-            engine.close()
+    results = _run_units(runner, units)
     grouped: dict[str, list[SessionResult]] = {}
     for unit, result in zip(units, results):
         key = _series_label(unit.config)
@@ -169,13 +143,9 @@ def run_channel_probe(
     config: ScenarioConfig,
     settings: ExperimentSettings,
     *,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
     runner: CampaignRunner | None = None,
-    progress: ProgressFn | None = None,
 ) -> ChannelProbeResult:
     """Run the cellular channel alone (no video) across seeds."""
-    engine, owned = _resolve_runner(runner, workers, cache, progress)
     units = [
         make_unit(
             WORK_CHANNEL_PROBE,
@@ -183,11 +153,7 @@ def run_channel_probe(
         )
         for seed in settings.seeds
     ]
-    try:
-        seed_results: list[ChannelProbeSeed] = engine.run(units)
-    finally:
-        if owned:
-            engine.close()
+    seed_results: list[ChannelProbeSeed] = _run_units(runner, units)
     handovers: list[HandoverEvent] = []
     uplink: list[float] = []
     altitudes: list[float] = []
@@ -216,13 +182,9 @@ def run_ping_probe(
     *,
     rate_hz: float = 20.0,
     ping_bytes: int = 92,  # 64-byte ICMP payload + headers
-    workers: int | None = None,
-    cache: ResultCache | None = None,
     runner: CampaignRunner | None = None,
-    progress: ProgressFn | None = None,
 ) -> list[PingSample]:
     """Measure echo RTTs over the cellular channel (Fig. 13 workload)."""
-    engine, owned = _resolve_runner(runner, workers, cache, progress)
     units = [
         make_unit(
             WORK_PING_PROBE,
@@ -232,11 +194,7 @@ def run_ping_probe(
         )
         for seed in settings.seeds
     ]
-    try:
-        seed_results = engine.run(units)
-    finally:
-        if owned:
-            engine.close()
+    seed_results = _run_units(runner, units)
     samples: list[PingSample] = []
     for seed_samples in seed_results:
         samples.extend(seed_samples)

@@ -26,14 +26,13 @@ from repro.analysis.render import format_table
 from repro.cellular.cell import CellCapacityConfig, merge_occupancy
 from repro.core.config import ScenarioConfig
 from repro.core.fleet import FleetResult
-from repro.experiments.campaign import _resolve_runner
+from repro.experiments.campaign import _run_units
 from repro.experiments.settings import ExperimentSettings
 from repro.metrics.network import delivered_bytes
 from repro.metrics.video import VideoSummary
 from repro.obs import DiagnosisSummary, ObsLevel
 from repro.obs.attribute import CELL_CONGESTION
-from repro.runner import WORK_FLEET, CampaignRunner, ResultCache
-from repro.runner.engine import ProgressFn
+from repro.runner import WORK_FLEET, CampaignRunner
 from repro.runner.work import WorkUnit, make_unit
 from repro.util.units import bytes_to_bits, to_mbps
 
@@ -205,30 +204,24 @@ def run_fleet_density(
     spread_radius: float = DEFAULT_SPREAD_RADIUS,
     cell_capacity: CellCapacityConfig | None = None,
     obs: bool | str | ObsLevel = False,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
     runner: CampaignRunner | None = None,
-    progress: ProgressFn | None = None,
 ) -> FleetDensityResult:
     """Sweep fleet density and aggregate per-session QoE.
 
-    One :data:`WORK_FLEET` unit per (density, seed) pair — fleets fan
-    out over worker processes exactly like seeded sessions do, and
-    repeat runs are served from the result cache. On a batching
-    runner (``CampaignRunner(batch=True)``) the planner additionally
-    groups each density's seed sweep into per-worker fleet batches
-    with per-unit cache fan-back, so an interrupted sweep resumes
-    from the fleets that completed; each fleet itself runs the
-    vectorized fast path (SoA contention + member-stacked tick
-    plans). ``obs="metrics"`` keeps that fast path *and* the batching
-    planner while adding the vectorized fleet metrics plane;
+    One :data:`WORK_FLEET` unit per (density, seed) pair, run as one
+    plan of its own on any runner: fleets fan out over worker
+    processes one pool task each, like seeded sessions do, each lands
+    in the result cache as it completes (an interrupted sweep resumes
+    from the fleets that finished), and repeat runs are served from
+    that cache. Each fleet itself runs the vectorized fast path (SoA
+    contention + member-stacked tick plans). ``obs="metrics"`` keeps
+    that fast path while adding the vectorized fleet metrics plane;
     ``obs="trace"`` (or ``True``) runs every fleet under a shared
-    recorder (scalar-scheduled, batching excluded) and the
-    per-density points additionally carry the fraction of latency
-    violations the diagnosis layer pins on ``cell_congestion``.
+    recorder (scalar-scheduled) and the per-density points
+    additionally carry the fraction of latency violations the
+    diagnosis layer pins on ``cell_congestion``.
     """
     level = ObsLevel.coerce(obs)
-    engine, owned = _resolve_runner(runner, workers, cache, progress)
     units = [
         fleet_unit(
             config.with_overrides(seed=seed, duration=settings.duration),
@@ -240,11 +233,7 @@ def run_fleet_density(
         for density in densities
         for seed in settings.seeds
     ]
-    try:
-        results = engine.run(units)
-    finally:
-        if owned:
-            engine.close()
+    results = _run_units(runner, units)
     per_density: dict[int, list[FleetResult]] = {d: [] for d in densities}
     for unit, result in zip(units, results):
         num_sessions = dict(unit.params)["num_sessions"]

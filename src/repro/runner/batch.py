@@ -16,27 +16,28 @@ The planner is deliberately conservative about what may batch:
   batchable (pure channel, no params);
 * :data:`~repro.runner.work.WORK_SESSION` units — batchable unless
   **trace**-instrumented (``obs="trace"`` runs carry a live recorder
-  whose trace is part of the payload; they take the scalar path).
+  whose trace is part of the payload; they run per unit).
   Metrics-level units (``obs="metrics"``) batch freely: the
   :class:`~repro.obs.MetricsRecorder` records counters/gauges/
   histograms without a trace, so the vectorized execution is
   unperturbed;
-* :data:`~repro.runner.work.WORK_FLEET` units — batchable unless
-  trace-instrumented. A fleet batch groups a density sweep's fleets into
-  per-worker tasks: each fleet still executes whole (its members are
-  already vectorized internally — SoA contention plus member-stacked
+* everything else (ping probes, fleets) — per unit. A fleet is
+  already vectorized internally (SoA contention plus member-stacked
   tick plans, see :func:`repro.cellular.batch.install_fleet_plans`),
-  and results fan back into the per-unit cache as each batch lands,
-  so an interrupted density sweep resumes from the fleets that
-  finished;
-* everything else (ping probes) — scalar.
+  and one pool task and one cache write per fleet is all a density
+  sweep needs.
+
+The campaign runner (:mod:`repro.runner.engine`) runs whatever the
+planner leaves out as plans of one unit, which :func:`execute_batch`
+executes exactly as :func:`~repro.runner.work.execute_unit` does.
 
 Two units land in the same batch only when their canonical
 fingerprints are identical *except for the seed* — the same material
 the result cache hashes, so "batchable together" can never be looser
-than "cache-key equal modulo seed". Batched execution is
-packet-for-packet bit-identical to the scalar path; the fingerprint
-suite (``tests/test_fingerprints.py``) pins that equivalence.
+than "cache-key equal modulo seed". A batched probe sweep is
+packet-for-packet bit-identical to per-unit execution, and a batched
+session equal to it value for value; the fingerprint suite
+(``tests/test_fingerprints.py``) pins both.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.core.config import ScenarioConfig
 from repro.obs import ObsLevel
 from repro.runner.work import (
     WORK_CHANNEL_PROBE,
-    WORK_FLEET,
     WORK_SESSION,
     WorkUnit,
     execute_unit,
@@ -90,18 +90,17 @@ class BatchPlan:
 
 
 def batch_key(unit: WorkUnit) -> str | None:
-    """Grouping key for ``unit``, or ``None`` when it must run scalar.
+    """Grouping key for ``unit``, or ``None`` when it runs per unit.
 
     The key is the unit's canonical JSON fingerprint with the seed
     removed — the exact cache-key material, so two units share a key
     iff they are the same cached computation modulo seed.
     """
-    if unit.kind in (WORK_SESSION, WORK_FLEET):
-        # Only trace-level obs forces the scalar path: the trace is
-        # part of the payload and must observe per-tick scalar
-        # scheduling. Metrics-level units batch freely — the
-        # MetricsRecorder (session) / FleetMetricsPlane (fleet)
-        # record without perturbing the vectorized execution, and the
+    if unit.kind == WORK_SESSION:
+        # Only trace-level obs keeps a session out: the trace is part
+        # of the payload and must observe per-tick scalar scheduling.
+        # Metrics-level sessions batch freely — the MetricsRecorder
+        # records without perturbing the vectorized execution, and the
         # tier stays inside the fingerprint, so the grouping key still
         # separates instrumented from bare payloads.
         if ObsLevel.coerce(dict(unit.params).get("obs")) is ObsLevel.TRACE:
@@ -196,7 +195,13 @@ def session_stream_specs(config: ScenarioConfig) -> "list[StreamSpec]":
 
 
 def execute_batch(plan: BatchPlan) -> "list[Any]":
-    """Run one batch and return per-unit results in ``plan`` order."""
+    """Run one plan and return per-unit results in ``plan`` order.
+
+    A plan of one unit runs exactly as :func:`execute_unit` runs it (no
+    draw plan: a one-seed sweep amortizes nothing).
+    """
+    if len(plan.units) == 1:
+        return [execute_unit(plan.units[0])]
     if plan.kind == WORK_CHANNEL_PROBE:
         # Lazy: repro.experiments builds on repro.runner.
         from repro.experiments.probes import channel_probe_batch
@@ -221,8 +226,4 @@ def execute_batch(plan: BatchPlan) -> "list[Any]":
             )
             for unit in plan.units
         ]
-    # WORK_FLEET (and any future kind a caller schedules directly):
-    # each unit executes whole in this worker task — a fleet is
-    # already vectorized internally, so batching buys the sweep-level
-    # sharding and per-unit cache fan-back, not a shared draw plan.
-    return [execute_unit(unit) for unit in plan.units]
+    raise ValueError(f"no batched execution for {plan.kind!r} units")

@@ -6,19 +6,25 @@ processes executed them — results are reassembled by index, and every
 unit is deterministic given its config, so any merge of the returned
 list is order-independent and identical to the serial path.
 
-Execution strategy per unit:
+One pipeline runs every campaign:
 
 1. consult the :class:`ResultCache` (if enabled) — hits cost one
    file read and never touch the pool; a
    :class:`~repro.core.session.SessionResult` unpickles its record
    logs from one typed buffer per record field, not one object per
    record;
-2. misses fan out over a ``multiprocessing`` pool of ``workers``
-   processes (``workers=1`` executes in-process, preserving the
-   classic serial path with zero pickling overhead); results come
-   back pickled in that same column form;
-3. fresh results are written back to the cache and reported to the
-   optional progress callback together with their telemetry record.
+2. turn the misses into plans (:class:`~repro.runner.batch.BatchPlan`):
+   the seed-sweep batches :func:`~repro.runner.batch.plan_batches`
+   returns when ``batch=True``, then every remaining miss as a plan of
+   one unit, in submission order;
+3. run the plans over a ``multiprocessing`` pool of ``workers``
+   processes, one plan per task (``workers=1`` executes in-process,
+   with zero pickling overhead); results come back pickled in the
+   same column form;
+4. as each plan lands, write its units back to the cache one by one
+   (an interrupted campaign resumes from exactly the units that
+   finished) and report each to the optional progress callback
+   together with its telemetry record.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs import CampaignStatusWriter, DiagnosisSummary, MetricsRegistry
 from repro.runner.batch import BatchPlan, execute_batch, plan_batches
 from repro.runner.cache import MISS, ResultCache
-from repro.runner.work import WorkUnit, execute_unit
+from repro.runner.work import WorkUnit
 
 
 @dataclass
@@ -127,48 +133,50 @@ class CampaignTelemetry:
 ProgressFn = Callable[[int, int, RunTelemetry], None]
 
 
-def _execute_indexed(payload: tuple[int, WorkUnit]) -> tuple[int, Any, RunTelemetry]:
-    """Pool entry point: run one unit, stamp its telemetry."""
-    index, unit = payload
-    start = time.time()  # repro-lint: ignore[RPL001] (wall-clock telemetry)
-    result = execute_unit(unit)
-    record = RunTelemetry(
-        unit=unit.describe(),
-        worker=f"worker-{os.getpid()}",
-        wall_start=start,
-        wall_end=time.time(),  # repro-lint: ignore[RPL001] (wall-clock telemetry)
-        sim_duration=unit.config.duration,
-        cache_hit=False,
-    )
-    return index, result, record
+def _execute_indexed(
+    payload: tuple[int, BatchPlan],
+) -> tuple[int, list[Any], float, float, int]:
+    """Pool entry point: run the plan at position ``payload[0]``.
 
-
-def _execute_batched(
-    plan: BatchPlan,
-) -> tuple[BatchPlan, list[Any], list[RunTelemetry]]:
-    """Pool entry point: run one seed-sweep batch, stamp per-unit telemetry.
-
-    The batch executes as a single struct-of-arrays task; its wall time
-    is apportioned evenly across the member units so per-unit records
-    (and ``sim_wall_ratio``) stay meaningful in campaign summaries.
+    Returns that position, the plan's results in plan order, the
+    wall-clock start and end of the run and the id of the process
+    that ran it; the campaign stamps the telemetry records.
     """
+    position, plan = payload
     start = time.time()  # repro-lint: ignore[RPL001] (wall-clock telemetry)
     results = execute_batch(plan)
     end = time.time()  # repro-lint: ignore[RPL001] (wall-clock telemetry)
-    share = (end - start) / len(plan.units)
-    worker = f"worker-{os.getpid()}"
-    records = [
+    return position, results, start, end, os.getpid()
+
+
+def _plan_records(
+    plan: BatchPlan, pid: int, start: float, end: float
+) -> list[RunTelemetry]:
+    """Per-unit telemetry of a plan that ran in process ``pid``.
+
+    The worker is ``"main"`` for this process and ``"worker-<pid>"``
+    for a pool worker. A plan of more than one unit ran as a single
+    struct-of-arrays task: its records carry a ``"/batch<n>"`` suffix
+    and split its wall time evenly across the member units, keeping
+    per-unit ``sim_wall_ratio`` meaningful in campaign summaries.
+    """
+    worker = "main" if pid == os.getpid() else f"worker-{pid}"
+    size = len(plan.units)
+    if size > 1:
+        worker = f"{worker}/batch{size}"
+    share = (end - start) / size
+    bounds = [start + position * share for position in range(size)] + [end]
+    return [
         RunTelemetry(
             unit=unit.describe(),
-            worker=f"{worker}/batch{len(plan.units)}",
-            wall_start=start + position * share,
-            wall_end=start + (position + 1) * share,
+            worker=worker,
+            wall_start=bounds[position],
+            wall_end=bounds[position + 1],
             sim_duration=unit.config.duration,
             cache_hit=False,
         )
         for position, unit in enumerate(plan.units)
     ]
-    return plan, results, records
 
 
 class CampaignRunner:
@@ -186,13 +194,10 @@ class CampaignRunner:
     batch:
         Execute cache-missed units of the same scenario-modulo-seed as
         struct-of-arrays seed sweeps (see :mod:`repro.runner.batch`).
-        Fleet units batch too: a density sweep's fleets are grouped
-        into per-worker tasks (each fleet is already vectorized
-        internally). Batched results are bit-identical to the scalar
-        path and fan back into the cache per unit, so an interrupted
-        batched campaign resumes from what completed. Units the
-        planner deems non-batchable (ping probes, instrumented
-        sessions/fleets) fall back to scalar execution transparently.
+        Batched results equal per-unit execution value for value and
+        fan back into the cache per unit, like every other plan's.
+        Units the planner leaves out (ping probes, fleets,
+        trace-instrumented sessions) run one plan per unit.
 
     The worker pool is created lazily on the first parallel campaign
     and **reused across** :meth:`run` calls — repeated campaigns skip
@@ -276,31 +281,24 @@ class CampaignRunner:
             self._collect_metrics(cached)
             self._note(record, done, total)
 
+        plans: list[BatchPlan] = []
         if self.batch and pending:
             plans, pending = plan_batches(pending, self.workers)
-            for plan, batch_results, records in self._execute_batches(plans):
-                for index, result, record in zip(
-                    plan.indices, batch_results, records
-                ):
-                    # Per-unit cache writes as each batch lands: an
-                    # interrupted campaign resumes from exactly the
-                    # units that finished, batched or not.
-                    if self.cache is not None:
-                        self.cache.put(units[index], result)
-                    results[index] = result
-                    done += 1
-                    self.telemetry.executed += 1
-                    self._collect_metrics(result)
-                    self._note(record, done, total)
-
-        for index, result, record in self._execute(pending):
-            if self.cache is not None:
-                self.cache.put(units[index], result)
-            results[index] = result
-            done += 1
-            self.telemetry.executed += 1
-            self._collect_metrics(result)
-            self._note(record, done, total)
+        plans += [
+            BatchPlan(kind=unit.kind, indices=(index,), units=(unit,))
+            for index, unit in pending
+        ]
+        for position, plan_results, start, end, pid in self._execute(plans):
+            plan = plans[position]
+            records = _plan_records(plan, pid, start, end)
+            for index, result, record in zip(plan.indices, plan_results, records):
+                if self.cache is not None:
+                    self.cache.put(units[index], result)
+                results[index] = result
+                done += 1
+                self.telemetry.executed += 1
+                self._collect_metrics(result)
+                self._note(record, done, total)
 
         self.telemetry.wall_time += time.time() - campaign_start  # repro-lint: ignore[RPL001]
         if self.status is not None:
@@ -308,39 +306,16 @@ class CampaignRunner:
         return results
 
     def _execute(
-        self, pending: list[tuple[int, WorkUnit]]
-    ) -> Iterable[tuple[int, Any, RunTelemetry]]:
-        if not pending:
-            return
-        if self.workers == 1 or len(pending) == 1:
-            for payload in pending:
-                index, result, record = _execute_indexed(payload)
-                record.worker = "main"
-                yield index, result, record
-            return
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(processes=self.workers)
-        yield from self._pool.imap_unordered(
-            _execute_indexed, pending, chunksize=1
-        )
-
-    def _execute_batches(
         self, plans: list[BatchPlan]
-    ) -> Iterable[tuple[BatchPlan, list[Any], list[RunTelemetry]]]:
-        if not plans:
-            return
-        if self.workers == 1 or len(plans) == 1:
-            for plan in plans:
-                plan, batch_results, records = _execute_batched(plan)
-                for record in records:
-                    record.worker = f"main/batch{len(plan.units)}"
-                yield plan, batch_results, records
-            return
+    ) -> Iterator[tuple[int, list[Any], float, float, int]]:
+        """Run ``plans``: in-process and in order for one worker or one
+        plan, else one pool task per plan, yielded as each lands."""
+        payloads = enumerate(plans)
+        if self.workers == 1 or len(plans) < 2:
+            return map(_execute_indexed, payloads)
         if self._pool is None:
             self._pool = multiprocessing.Pool(processes=self.workers)
-        yield from self._pool.imap_unordered(
-            _execute_batched, plans, chunksize=1
-        )
+        return self._pool.imap_unordered(_execute_indexed, payloads, chunksize=1)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent).

@@ -80,3 +80,48 @@ class TestControlResultEdgeCases:
         )
         assert math.isnan(result.command_latency_ms())
         assert result.command_loss_rate == 0.0
+
+
+class TestScenarioFieldsReachTheVideoPipeline:
+    """The control session's encoder and receiver take the scenario's
+    bitrate clamp and jitter-buffer mode exactly as ``build_session``
+    does; an encoder left at its own defaults floors a 0.5 Mbps static
+    flight at 2 Mbps."""
+
+    CONFIG = ScenarioConfig(
+        cc="static", environment="urban", platform="air", duration=20.0,
+        seed=3, static_bitrate=0.5e6, min_bitrate=0.5e6, max_bitrate=1e6,
+        jitter_buffer_drop_on_latency=True,
+    )
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        """Record every instance of ``module.name`` built from now on."""
+        built = []
+        cls = getattr(module, name)
+
+        class Spy(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(module, name, Spy)
+        return built
+
+    def test_sender_rate_and_buffer_mode_match_run_session(self, monkeypatch):
+        import repro.control.session as control_session
+        import repro.core.session as core_session
+
+        control_senders = self.spy(monkeypatch, control_session, "VideoSender")
+        control_receivers = self.spy(monkeypatch, control_session, "VideoReceiver")
+        session_senders = self.spy(monkeypatch, core_session, "VideoSender")
+        run_control_session(self.CONFIG)
+        core_session.run_session(self.CONFIG)
+        (control,) = control_senders
+        (session,) = session_senders
+        control_bps = control.stats.bytes_sent * 8 / self.CONFIG.duration
+        session_bps = session.stats.bytes_sent * 8 / self.CONFIG.duration
+        assert control_bps == pytest.approx(session_bps, rel=0.1)
+        assert control_bps < self.CONFIG.max_bitrate
+        (receiver,) = control_receivers
+        assert receiver.jitter_buffer.drop_on_latency is True

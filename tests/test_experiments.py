@@ -53,14 +53,17 @@ class TestRunMatrix:
 class TestRunnerOwnership:
     def test_run_matrix_closes_internal_runner(self):
         """Regression: run_matrix used to leak the worker pool it
-        created internally (the pool is persistent since PR 3)."""
+        created internally (a runner's pool persists across campaigns).
+        Its own runner is closed on exit; a pooled runner passed in is
+        closed by its caller's ``with``."""
         import multiprocessing
 
-        run_matrix(
-            [ScenarioConfig(cc="static")],
-            ExperimentSettings(duration=12.0, seeds=(1, 2), warmup=2.0),
-            workers=2,
-        )
+        from repro.runner import CampaignRunner
+
+        settings = ExperimentSettings(duration=12.0, seeds=(1, 2), warmup=2.0)
+        run_matrix([ScenarioConfig(cc="static")], settings)
+        with CampaignRunner(2, batch=True) as runner:
+            run_matrix([ScenarioConfig(cc="static")], settings, runner=runner)
         for child in multiprocessing.active_children():
             child.join(timeout=10.0)
         assert multiprocessing.active_children() == []

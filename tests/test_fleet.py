@@ -23,7 +23,7 @@ from repro.experiments.fleet import fleet_unit, run_fleet_density
 from repro.net.simulator import EventLoop
 from repro.obs import Recorder
 from repro.obs.attribute import CELL_CONGESTION, causes_from_trace
-from repro.runner import WORK_FLEET, execute_unit
+from repro.runner import WORK_FLEET, CampaignRunner, execute_unit
 
 BASE = ScenarioConfig(
     cc="gcc", environment="urban", platform="air", operator="P1",
@@ -406,12 +406,11 @@ class TestFleetCampaign:
     def test_density_sweep_parallel_equals_serial(self):
         quick = BASE.with_overrides(duration=12.0)
         settings = ExperimentSettings(duration=12.0, seeds=(1,), warmup=2.0)
-        serial = run_fleet_density(
-            quick, settings, densities=(1, 2), workers=1
-        )
-        parallel = run_fleet_density(
-            quick, settings, densities=(1, 2), workers=2
-        )
+        serial = run_fleet_density(quick, settings, densities=(1, 2))
+        with CampaignRunner(2, batch=True) as runner:
+            parallel = run_fleet_density(
+                quick, settings, densities=(1, 2), runner=runner
+            )
         for a, b in zip(serial.points, parallel.points):
             assert a == b
 

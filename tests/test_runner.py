@@ -145,9 +145,13 @@ class TestCacheKeys:
 
 
 class TestParallelEqualsSerial:
+    """Each driver's owned default (one in-process batching runner)
+    against a caller's batching pool of four."""
+
     def test_run_matrix_workers(self):
-        serial = run_matrix(CONFIGS, QUICK, workers=1)
-        parallel = run_matrix(CONFIGS, QUICK, workers=4)
+        serial = run_matrix(CONFIGS, QUICK)
+        with CampaignRunner(4, batch=True) as runner:
+            parallel = run_matrix(CONFIGS, QUICK, runner=runner)
         assert list(serial.keys()) == list(parallel.keys())
         for label in serial:
             assert [_headline(r) for r in serial[label]] == [
@@ -155,8 +159,9 @@ class TestParallelEqualsSerial:
             ]
 
     def test_channel_probe_workers(self):
-        serial = run_channel_probe(CONFIGS[0], QUICK, workers=1)
-        parallel = run_channel_probe(CONFIGS[0], QUICK, workers=4)
+        serial = run_channel_probe(CONFIGS[0], QUICK)
+        with CampaignRunner(4, batch=True) as runner:
+            parallel = run_channel_probe(CONFIGS[0], QUICK, runner=runner)
         assert serial.label == parallel.label
         assert len(serial.handovers) == len(parallel.handovers)
         assert serial.uplink_samples == parallel.uplink_samples
@@ -164,8 +169,11 @@ class TestParallelEqualsSerial:
         assert serial.ping_pong == parallel.ping_pong
 
     def test_ping_probe_workers(self):
-        serial = run_ping_probe(CONFIGS[0], QUICK, rate_hz=5.0, workers=1)
-        parallel = run_ping_probe(CONFIGS[0], QUICK, rate_hz=5.0, workers=4)
+        serial = run_ping_probe(CONFIGS[0], QUICK, rate_hz=5.0)
+        with CampaignRunner(4, batch=True) as runner:
+            parallel = run_ping_probe(
+                CONFIGS[0], QUICK, rate_hz=5.0, runner=runner
+            )
         assert [(s.time, s.rtt, s.altitude) for s in serial] == [
             (s.time, s.rtt, s.altitude) for s in parallel
         ]
@@ -289,29 +297,22 @@ class TestBatchPlanner:
         assert plans == []
         assert [i for i, _ in scalar] == list(range(len(units)))
 
-    def test_fleet_units_batch_unless_instrumented(self):
-        # Density sweeps plan their fleet units into per-worker
-        # batches (executed whole, with per-unit cache fan-back);
-        # instrumented fleets keep the scalar path like instrumented
-        # sessions do.
+    def test_fleet_units_run_per_unit(self):
+        # A fleet is vectorized internally; the planner leaves every
+        # tier of fleet unit to run as a plan of its own (one pool
+        # task and one cache write per fleet).
         config = ScenarioConfig(cc="static", duration=5.0)
-        units = [
-            make_unit(WORK_FLEET, config.with_overrides(seed=s), num_sessions=2)
-            for s in (1, 2, 3)
-        ]
-        plans, scalar = plan_batches(list(enumerate(units)))
-        assert scalar == []
-        assert len(plans) == 1 and plans[0].indices == (0, 1, 2)
-        traced = [
-            make_unit(
-                WORK_FLEET, config.with_overrides(seed=s), num_sessions=2,
-                obs=True,
-            )
-            for s in (1, 2)
-        ]
-        plans, scalar = plan_batches(list(enumerate(traced)))
-        assert plans == []
-        assert [i for i, _ in scalar] == [0, 1]
+        for obs in ("off", "metrics", "trace"):
+            units = [
+                make_unit(
+                    WORK_FLEET, config.with_overrides(seed=s), num_sessions=2,
+                    obs=obs,
+                )
+                for s in (1, 2, 3)
+            ]
+            plans, scalar = plan_batches(list(enumerate(units)))
+            assert plans == []
+            assert [i for i, _ in scalar] == [0, 1, 2]
 
     def test_singleton_and_duplicate_seeds_stay_scalar(self):
         config = ScenarioConfig(cc="static", duration=5.0)
@@ -385,28 +386,116 @@ class TestBatchedCampaign:
         assert merged.ping_pong == expected.ping_pong
 
 
+def _mixed_campaign():
+    """A 4-seed probe sweep interleaved with two pings and one fleet."""
+    from repro.experiments.fleet import fleet_unit
+
+    config = CONFIGS[0].with_overrides(duration=8.0)
+    probes = _probe_units(config, ExperimentSettings(
+        duration=8.0, seeds=(1, 2, 3, 4), warmup=2.0
+    ))
+    pings = [
+        make_unit(WORK_PING_PROBE, config.with_overrides(seed=s), rate_hz=5.0)
+        for s in (1, 2)
+    ]
+    fleet = fleet_unit(config.with_overrides(seed=1), num_sessions=2)
+    return [
+        pings[0], probes[0], fleet, probes[1], pings[1], probes[2], probes[3]
+    ]
+
+
+def _unit_digest(unit, result):
+    from repro.core.fingerprint import (
+        digest,
+        fleet_fingerprint,
+        probe_fingerprint,
+    )
+
+    if unit.kind == WORK_CHANNEL_PROBE:
+        return digest(probe_fingerprint(result))
+    if unit.kind == WORK_FLEET:
+        return digest(fleet_fingerprint(result))
+    return digest(repr(result))
+
+
+class TestOnePipeline:
+    """Every miss runs as a plan: the planner's batches, then each
+    remaining unit as a plan of one, in submission order."""
+
+    def test_pool_batches_equal_the_scalar_runner_result_for_result(self):
+        units = _mixed_campaign()
+        reference = CampaignRunner(1).run(units)
+        with CampaignRunner(2, batch=True) as pooled:
+            results = pooled.run(units)
+        assert [_unit_digest(u, r) for u, r in zip(units, results)] == [
+            _unit_digest(u, r) for u, r in zip(units, reference)
+        ]
+        # One record per unit: the sweep splits into two 2-seed pool
+        # batches, every other unit is a one-unit pool task.
+        runs = pooled.telemetry.runs
+        assert sorted(r.unit for r in runs) == sorted(u.describe() for u in units)
+        for record in runs:
+            prefix, _, suffix = record.worker.partition("/")
+            assert prefix.startswith("worker-")
+            batched = record.unit.startswith(WORK_CHANNEL_PROBE + ":")
+            assert suffix == ("batch2" if batched else "")
+        assert pooled.telemetry.executed == len(units)
+
+    def test_one_unit_plan_runs_exactly_as_execute_unit(self):
+        # No draw plan for one seed: its numpy.float64 draws would reach
+        # the logs and move the session's digest.
+        from repro.core.fingerprint import digest, session_fingerprint
+        from repro.runner import BatchPlan, execute_batch
+
+        unit = make_unit(WORK_SESSION, CONFIGS[0].with_overrides(seed=3, duration=5.0))
+        (planned,) = execute_batch(BatchPlan(WORK_SESSION, (0,), (unit,)))
+        assert digest(session_fingerprint(planned)) == digest(
+            session_fingerprint(execute_unit(unit))
+        )
+        from repro.experiments.fleet import fleet_unit
+
+        fleet = fleet_unit(unit.config, num_sessions=2)
+        with pytest.raises(ValueError, match="fleet"):
+            execute_batch(BatchPlan(WORK_FLEET, (0, 1), (fleet, fleet)))
+
+    def test_serial_progress_runs_batches_then_units_in_order(self):
+        units = _mixed_campaign()
+        seen = []
+        runner = CampaignRunner(
+            1, batch=True, progress=lambda done, total, rec: seen.append(rec)
+        )
+        runner.run(units)
+        index_of = {unit.describe(): i for i, unit in enumerate(units)}
+        assert [index_of[r.unit] for r in seen] == [1, 3, 5, 6, 0, 2, 4]
+        assert [r.worker for r in seen] == ["main/batch4"] * 4 + ["main"] * 3
+
+
 class TestMetricsLevelBatching:
     """Metrics-tier obs must keep the batch planner engaged (PR 10)."""
 
-    def test_metrics_sessions_and_fleets_still_batch(self):
+    def test_metrics_sessions_batch_and_metrics_fleets_do_not(self):
         from repro.runner.batch import batch_key
 
         config = ScenarioConfig(cc="static", duration=5.0)
-        for kind, extra in (
-            (WORK_SESSION, {}),
-            (WORK_FLEET, {"num_sessions": 2}),
-        ):
-            units = [
-                make_unit(
-                    kind, config.with_overrides(seed=s),
-                    obs="metrics", **extra,
-                )
-                for s in (1, 2, 3)
-            ]
-            assert all(batch_key(u) is not None for u in units)
-            plans, scalar = plan_batches(list(enumerate(units)))
-            assert scalar == []
-            assert len(plans) == 1 and plans[0].indices == (0, 1, 2)
+        sessions = [
+            make_unit(WORK_SESSION, config.with_overrides(seed=s), obs="metrics")
+            for s in (1, 2, 3)
+        ]
+        assert all(batch_key(u) is not None for u in sessions)
+        plans, scalar = plan_batches(list(enumerate(sessions)))
+        assert scalar == []
+        assert len(plans) == 1 and plans[0].indices == (0, 1, 2)
+        fleets = [
+            make_unit(
+                WORK_FLEET, config.with_overrides(seed=s), obs="metrics",
+                num_sessions=2,
+            )
+            for s in (1, 2, 3)
+        ]
+        assert all(batch_key(u) is None for u in fleets)
+        plans, scalar = plan_batches(list(enumerate(fleets)))
+        assert plans == []
+        assert [i for i, _ in scalar] == [0, 1, 2]
 
     def test_obs_tiers_never_share_a_group(self):
         from repro.runner.batch import batch_key
