@@ -21,9 +21,7 @@ import numpy as np
 
 from repro import ScenarioConfig, run_session
 from repro.analysis import format_table
-from repro.cc.base import StaticBitrateController
-from repro.core.receiver import VideoReceiver
-from repro.core.sender import VideoSender
+from repro.core.session import build_controller, build_receiver, build_sender
 from repro.net.loss import GilbertElliottLoss
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop
@@ -31,8 +29,6 @@ from repro.traces import TraceReplayChannel
 from repro.traces.schema import ChannelRecord, HandoverRecord
 from repro.util.rng import RngStreams
 from repro.util.units import to_ms
-from repro.video.encoder import EncoderModel
-from repro.video.source import SourceVideo
 
 
 def replay(
@@ -43,15 +39,19 @@ def replay(
     drop_on_latency: bool,
 ) -> list[float]:
     """Replay the trace with one jitter-buffer setting; return latencies."""
+    config = ScenarioConfig(
+        cc="static", static_bitrate=25e6,
+        jitter_buffer_drop_on_latency=drop_on_latency,
+    )
     loop = EventLoop()
     streams = RngStreams(99)
     replay_channel = TraceReplayChannel(loop, channel_trace, handovers)
-    controller = StaticBitrateController(25e6)
-    holder: list[VideoReceiver] = []
+    controller = build_controller(config)
+    receiver = build_receiver(loop, config, controller)
     uplink = NetworkPath(
         loop,
         replay_channel.uplink_rate,
-        lambda d: holder[0].on_datagram(d),
+        receiver.on_datagram,
         base_delay=0.018,
         jitter_std=0.0005,
         loss_model=GilbertElliottLoss.from_rate_and_burst(
@@ -59,27 +59,17 @@ def replay(
         ),
         rng=streams.derive("jitter"),
     )
-    downlink = NetworkPath(
+    receiver.downlink = NetworkPath(
         loop,
         replay_channel.downlink_rate,
-        lambda d: holder[0].on_feedback_delivered(d),
+        receiver.on_feedback_delivered,
         base_delay=0.018,
         jitter_std=0.0005,
         rng=streams.derive("jitter2"),
     )
     replay_channel.attach_path(uplink)
-    replay_channel.attach_path(downlink)
-    source = SourceVideo(streams.derive("source"))
-    encoder = EncoderModel(streams.derive("encoder"), initial_bitrate=25e6)
-    sender = VideoSender(loop, source, encoder, controller, uplink)
-    receiver = VideoReceiver(
-        loop,
-        controller,
-        downlink,
-        jitter_buffer_latency=0.150,
-        drop_on_latency=drop_on_latency,
-    )
-    holder.append(receiver)
+    replay_channel.attach_path(receiver.downlink)
+    sender = build_sender(loop, config, streams, controller, uplink)
     replay_channel.start()
     sender.start()
     receiver.start()

@@ -10,9 +10,11 @@ telemetry rides the uplink *through the same cellular channel* as the
 video, so handover outages and bufferbloat hit all three flows
 coherently.
 
-``run_control_session`` runs a standard video session with C2 traffic
-injected and reports per-flow latency; with ``with_video=False`` it
-isolates the C2 flows (an idle-link baseline).
+``run_control_session`` builds a standard video session with
+:func:`~repro.core.session.build_session`, injects the C2 traffic on
+its paths and reports per-flow latency; with ``with_video=False`` the
+media pipeline is built but never started, which isolates the C2
+flows (an idle-link baseline).
 """
 
 from __future__ import annotations
@@ -22,25 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.render import format_table
-from repro.cellular.channel import CellularChannel
-from repro.cellular.operators import get_profile
 from repro.core.config import ScenarioConfig
-from repro.core.receiver import VideoReceiver
-from repro.util.units import to_ms
-from repro.core.sender import VideoSender
-from repro.core.session import (
-    build_channel_config,
-    build_controller,
-    build_trajectory,
-)
-from repro.net.loss import GilbertElliottLoss
+from repro.core.session import build_session
 from repro.net.packet import Datagram, reset_datagram_ids
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop, PeriodicTimer
-from repro.util.rng import RngStreams
-from repro.video.encoder import EncoderModel
+from repro.util.units import to_ms
 from repro.video.player import PlaybackRecord
-from repro.video.source import SourceVideo
 
 #: Command rate from pilot to UAV (joystick updates).
 COMMAND_RATE_HZ = 50.0
@@ -128,94 +118,37 @@ class ControlResult:
 def run_control_session(
     config: ScenarioConfig, *, with_video: bool = True
 ) -> ControlResult:
-    """Run commands + telemetry (and optionally video) over one channel."""
+    """Run commands + telemetry (and optionally video) over one channel.
+
+    The channel, paths and media pipeline are ``build_session``'s.
+    Each path's ``receive`` is wrapped: command datagrams on the
+    downlink and telemetry datagrams on the uplink are recorded, and
+    every other datagram reaches the video pipeline.
+    """
     reset_datagram_ids()
     loop = EventLoop()
-    streams = RngStreams(config.seed)
-    profile = get_profile(config.operator, config.environment.value)
-    layout = profile.build_layout(streams.derive("layout"))
-    trajectory = build_trajectory(config, streams)
-    channel = CellularChannel(
-        loop,
-        layout,
-        profile,
-        trajectory,
-        streams.child("channel"),
-        config=build_channel_config(config),
-        horizon=config.duration,
-    )
-
+    session = build_session(loop, config)
+    uplink, downlink = session.uplink, session.downlink
     command_samples: list[C2Sample] = []
     telemetry_samples: list[C2Sample] = []
-    receiver_holder: list[VideoReceiver] = []
     counters = {"commands": 0, "telemetry": 0}
 
-    def on_uplink(datagram: Datagram) -> None:
-        payload = datagram.payload
-        if isinstance(payload, tuple) and payload[0] == "telemetry":
-            telemetry_samples.append(
-                C2Sample(sent_at=payload[1], latency=loop.now - payload[1])
-            )
-            return
-        if receiver_holder:
-            receiver_holder[0].on_datagram(datagram)
+    def record(path: NetworkPath, kind: str, samples: list[C2Sample]) -> None:
+        deliver = path.receive
 
-    def on_downlink(datagram: Datagram) -> None:
-        payload = datagram.payload
-        if isinstance(payload, tuple) and payload[0] == "command":
-            command_samples.append(
-                C2Sample(sent_at=payload[1], latency=loop.now - payload[1])
-            )
-            return
-        if receiver_holder:
-            receiver_holder[0].on_feedback_delivered(datagram)
+        def receive(datagram: Datagram) -> None:
+            payload = datagram.payload
+            if isinstance(payload, tuple) and payload[0] == kind:
+                samples.append(
+                    C2Sample(sent_at=payload[1], latency=loop.now - payload[1])
+                )
+            else:
+                deliver(datagram)
 
-    uplink = NetworkPath(
-        loop, channel.uplink_rate, on_uplink,
-        base_delay=config.base_owd,
-        jitter_std=config.owd_jitter_std,
-        loss_model=GilbertElliottLoss.from_rate_and_burst(
-            config.loss_rate, config.loss_mean_burst, streams.derive("loss-up")
-        ),
-        buffer_bytes=config.uplink_buffer_bytes,
-        rng=streams.derive("jitter-up"),
-        horizon=channel.rate_horizon,
-    )
-    downlink = NetworkPath(
-        loop, channel.downlink_rate, on_downlink,
-        base_delay=config.base_owd,
-        jitter_std=config.owd_jitter_std,
-        loss_model=GilbertElliottLoss.from_rate_and_burst(
-            config.loss_rate, config.loss_mean_burst, streams.derive("loss-down")
-        ),
-        buffer_bytes=config.downlink_buffer_bytes,
-        rng=streams.derive("jitter-down"),
-        horizon=channel.rate_horizon,
-    )
-    channel.attach_path(uplink)
-    channel.attach_path(downlink)
+        path.receive = receive
 
-    playback: list[PlaybackRecord] = []
-    sender = None
-    if with_video:
-        controller = build_controller(config)
-        source = SourceVideo(streams.derive("source"), fps=config.fps)
-        encoder = EncoderModel(
-            streams.derive("encoder"),
-            fps=config.fps,
-            min_bitrate=config.min_bitrate,
-            max_bitrate=config.max_bitrate,
-            initial_bitrate=controller.target_bitrate(0.0),
-        )
-        sender = VideoSender(loop, source, encoder, controller, uplink)
-        receiver = VideoReceiver(
-            loop, controller, downlink,
-            fps=config.fps,
-            jitter_buffer_latency=config.jitter_buffer_latency,
-            drop_on_latency=config.jitter_buffer_drop_on_latency,
-            scream_ack_window=config.scream_ack_window,
-        )
-        receiver_holder.append(receiver)
+    record(uplink, "telemetry", telemetry_samples)
+    record(downlink, "command", command_samples)
 
     def send_command() -> None:
         counters["commands"] += 1
@@ -229,17 +162,17 @@ def run_control_session(
             Datagram(size_bytes=TELEMETRY_BYTES, payload=("telemetry", loop.now))
         )
 
-    channel.start()
+    session.channel.start()
     PeriodicTimer(loop, 1.0 / COMMAND_RATE_HZ, send_command)
     PeriodicTimer(loop, 1.0 / TELEMETRY_RATE_HZ, send_telemetry)
-    if sender is not None:
-        sender.start()
-        receiver_holder[0].start()
+    if with_video:
+        session.sender.start()
+        session.receiver.start()
     loop.run_until(config.duration)
-    if sender is not None:
-        sender.stop()
-        receiver_holder[0].stop()
-        playback = receiver_holder[0].player.records
+    playback: list[PlaybackRecord] = []
+    if with_video:
+        session.stop()
+        playback = session.receiver.player.records
 
     return ControlResult(
         config=config,

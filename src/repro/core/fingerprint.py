@@ -16,6 +16,10 @@ CI gates compare one value instead of re-deriving field lists:
   :class:`~repro.core.fleet.FleetResult` plus its shared-cell
   occupancy, peak occupancy and congestion time.
 
+:func:`packet_log_tuples`, :func:`playback_tuples` and
+:func:`handover_tuples` are the parts these share, for fingerprints of
+the other run kinds (control, multipath).
+
 Floats are compared exactly (no tolerance): two runs either consumed
 identical random draws through identical arithmetic or they did not.
 :func:`digest` reduces a fingerprint to the sha256 that the golden
@@ -29,11 +33,29 @@ from typing import Any
 
 from repro.core.packet_log import as_packet_log
 
-#: The packet-log columns a session fingerprint covers, in its order.
+#: The packet-log columns a fingerprint covers, in its order.
 _PACKET_COLUMNS = ("sequence", "sent_at", "received_at", "size_bytes")
 
 
-def _handover_tuples(handovers: "list[Any]") -> tuple:
+def packet_log_tuples(log: Any) -> tuple:
+    """One tuple of the fingerprinted columns per logged packet."""
+    return tuple(zip(*map(as_packet_log(log).column, _PACKET_COLUMNS)))
+
+
+def playback_tuples(playback: "list[Any]") -> tuple:
+    return tuple(
+        (
+            record.frame_id,
+            record.play_time,
+            record.encode_time,
+            record.ssim,
+            record.complete,
+        )
+        for record in playback
+    )
+
+
+def handover_tuples(handovers: "list[Any]") -> tuple:
     return tuple(
         (
             event.time,
@@ -54,18 +76,9 @@ def session_fingerprint(result: Any) -> tuple:
         result.cells_seen,
         result.packets_lost_radio,
         result.packets_dropped_buffer,
-        tuple(zip(*map(as_packet_log(result.packet_log).column, _PACKET_COLUMNS))),
-        tuple(
-            (
-                record.frame_id,
-                record.play_time,
-                record.encode_time,
-                record.ssim,
-                record.complete,
-            )
-            for record in result.playback
-        ),
-        _handover_tuples(result.handovers),
+        packet_log_tuples(result.packet_log),
+        playback_tuples(result.playback),
+        handover_tuples(result.handovers),
         tuple(
             (sample.time, sample.uplink_bps, sample.downlink_bps)
             for sample in result.capacity_samples
@@ -79,7 +92,7 @@ def probe_fingerprint(probe: Any) -> tuple:
     return (
         tuple(probe.uplink_samples),
         tuple(probe.altitudes),
-        _handover_tuples(probe.handovers),
+        handover_tuples(probe.handovers),
         probe.cells_seen,
         probe.ping_pong,
     )

@@ -16,7 +16,14 @@ The assembly step is exposed separately as :func:`build_session`,
 which returns live :class:`SessionHandles` without running the loop —
 that is what lets :mod:`repro.core.fleet` host several sessions on
 one shared event loop (shared cell layout, shared PRB scheduler)
-while ``run_session`` stays the classic single-UE path.
+while ``run_session`` stays the classic single-UE path, and what
+:mod:`repro.control` adds its C2 flows to.
+
+This module alone maps a :class:`ScenarioConfig` to components:
+:func:`build_channel`, :func:`build_sender` and :func:`build_receiver`
+are the pieces ``build_session`` is made of, and the multipath
+session, the probes and the ramp-up figure take them for the parts
+they share with a session.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from repro.obs import (
     Recorder,
     diagnose,
 )
-from repro.util.rng import RngStreams
+from repro.util.rng import BatchedNormal, RngStreams
 from repro.video.encoder import EncoderModel
 from repro.video.player import PlaybackRecord
 from repro.video.source import SourceVideo
@@ -327,6 +334,102 @@ class SessionHandles:
         )
 
 
+def build_channel(
+    loop: EventLoop,
+    config: ScenarioConfig,
+    streams: RngStreams,
+    *,
+    obs: NullRecorder = NULL_RECORDER,
+    layout: CellLayout | None = None,
+    trajectory: WaypointTrajectory | None = None,
+    contention: CellContention | None = None,
+    ue_id: int = 0,
+) -> CellularChannel:
+    """The config's cellular channel on ``loop``, ticking to its duration.
+
+    The layout comes from the ``"layout"`` stream of ``streams`` and the
+    trajectory from :func:`build_trajectory`, unless ``layout`` /
+    ``trajectory`` override them; the channel draws from
+    ``streams.child("channel")``. ``contention`` attaches the channel to
+    a shared-cell PRB scheduler as UE ``ue_id``, at the config's fleet
+    uplink demand.
+    """
+    profile = get_profile(config.operator, config.environment.value)
+    if layout is None:
+        layout = profile.build_layout(streams.derive("layout"))
+    if trajectory is None:
+        trajectory = build_trajectory(config, streams)
+    uplink_demand: float | None = None
+    if contention is not None:
+        uplink_demand = fleet_demand_bps(
+            config.max_bitrate, config.effective_static_bitrate
+        )
+    return CellularChannel(
+        loop,
+        layout,
+        profile,
+        trajectory,
+        streams.child("channel"),
+        config=build_channel_config(config),
+        horizon=config.duration,
+        obs=obs,
+        contention=contention,
+        ue_id=ue_id,
+        uplink_demand_bps=uplink_demand,
+    )
+
+
+def build_sender(
+    loop: EventLoop,
+    config: ScenarioConfig,
+    streams: RngStreams,
+    controller: CongestionController,
+    uplink: NetworkPath,
+    *,
+    obs: NullRecorder = NULL_RECORDER,
+    normal: BatchedNormal | None = None,
+) -> VideoSender:
+    """The config's source, encoder and sender, sending on ``uplink``.
+
+    ``normal`` is a pre-built draw buffer that replaces the encoder's
+    ``"encoder"`` stream (:func:`build_session`'s ``draws``).
+    """
+    source = SourceVideo(streams.derive("source"), fps=config.fps)
+    encoder = EncoderModel(
+        None if normal is not None else streams.derive("encoder"),
+        fps=config.fps,
+        min_bitrate=config.min_bitrate,
+        max_bitrate=config.max_bitrate,
+        initial_bitrate=controller.target_bitrate(0.0),
+        normal=normal,
+    )
+    return VideoSender(loop, source, encoder, controller, uplink, obs=obs)
+
+
+def build_receiver(
+    loop: EventLoop,
+    config: ScenarioConfig,
+    controller: CongestionController,
+    *,
+    obs: NullRecorder = NULL_RECORDER,
+) -> VideoReceiver:
+    """The config's receiver pipeline, without its feedback path.
+
+    Its ``downlink`` is set once built, before it starts, so the paths
+    can deliver straight into its bound methods.
+    """
+    return VideoReceiver(
+        loop,
+        controller,
+        None,
+        fps=config.fps,
+        jitter_buffer_latency=config.jitter_buffer_latency,
+        drop_on_latency=config.jitter_buffer_drop_on_latency,
+        scream_ack_window=config.scream_ack_window,
+        obs=obs,
+    )
+
+
 def build_session(
     loop: EventLoop,
     config: ScenarioConfig,
@@ -379,48 +482,24 @@ def build_session(
             ),
         )
     streams = RngStreams(config.seed)
-    profile = get_profile(config.operator, config.environment.value)
-    if layout is None:
-        layout = profile.build_layout(streams.derive("layout"))
-    if trajectory is None:
-        trajectory = build_trajectory(config, streams)
-    uplink_demand: float | None = None
-    if contention is not None:
-        uplink_demand = fleet_demand_bps(
-            config.max_bitrate, config.effective_static_bitrate
-        )
-    channel = CellularChannel(
+    channel = build_channel(
         loop,
-        layout,
-        profile,
-        trajectory,
-        streams.child("channel"),
-        config=build_channel_config(config),
-        horizon=config.duration,
+        config,
+        streams,
         obs=obs,
+        layout=layout,
+        trajectory=trajectory,
         contention=contention,
         ue_id=ue_id,
-        uplink_demand_bps=uplink_demand,
     )
 
     controller = build_controller(config)
     controller.obs = obs
-    if config.cc is CcAlgorithm.SCREAM and "ramp_up_speed" in config.extra:
-        controller.rate.ramp_up_speed = config.extra["ramp_up_speed"]
 
     # The receiver is built before its paths, so each path delivers
     # straight into a bound method (every media packet crosses the
     # uplink's); the downlink is attached to it once built.
-    receiver = VideoReceiver(
-        loop,
-        controller,
-        None,
-        fps=config.fps,
-        jitter_buffer_latency=config.jitter_buffer_latency,
-        drop_on_latency=config.jitter_buffer_drop_on_latency,
-        scream_ack_window=config.scream_ack_window,
-        obs=obs,
-    )
+    receiver = build_receiver(loop, config, controller, obs=obs)
     if draws is None:
         draws = {}
     jitter_up = draws.get("jitter-up")
@@ -469,16 +548,10 @@ def build_session(
     channel.attach_path(uplink)
     channel.attach_path(downlink)
 
-    source = SourceVideo(streams.derive("source"), fps=config.fps)
-    encoder = EncoderModel(
-        None if "encoder" in draws else streams.derive("encoder"),
-        fps=config.fps,
-        min_bitrate=config.min_bitrate,
-        max_bitrate=config.max_bitrate,
-        initial_bitrate=controller.target_bitrate(0.0),
-        normal=draws.get("encoder"),
+    sender = build_sender(
+        loop, config, streams, controller, uplink,
+        obs=obs, normal=draws.get("encoder"),
     )
-    sender = VideoSender(loop, source, encoder, controller, uplink, obs=obs)
     receiver.on_receiver_report = sender.on_receiver_report
     return SessionHandles(
         config=config,

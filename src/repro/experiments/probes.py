@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cellular.channel import CellularChannel
 from repro.cellular.handover import HandoverEvent
-from repro.cellular.operators import get_profile
 from repro.core.config import ScenarioConfig
-from repro.core.session import build_channel_config, build_trajectory
+from repro.core.session import build_channel
 from repro.net.packet import Datagram, reset_datagram_ids
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop, PeriodicTimer
@@ -44,23 +42,6 @@ class PingSample:
     time: float
     rtt: float
     altitude: float
-
-
-def _build_channel(
-    config: ScenarioConfig, loop: EventLoop, streams: RngStreams
-) -> CellularChannel:
-    profile = get_profile(config.operator, config.environment.value)
-    layout = profile.build_layout(streams.derive("layout"))
-    trajectory = build_trajectory(config, streams)
-    return CellularChannel(
-        loop,
-        layout,
-        profile,
-        trajectory,
-        streams.child("channel"),
-        config=build_channel_config(config),
-        horizon=config.duration,
-    )
 
 
 def channel_probe_seed(config: ScenarioConfig) -> ChannelProbeSeed:
@@ -89,7 +70,7 @@ def channel_probe_batch(
 
     loop = EventLoop()
     channels = [
-        _build_channel(config, loop, RngStreams(config.seed))
+        build_channel(loop, config, RngStreams(config.seed))
         for config in configs
     ]
     uplinks = run_lockstep(channels, configs[0].duration)
@@ -121,18 +102,8 @@ class _PingProbe:
         reset_datagram_ids()
         self._loop = EventLoop()
         streams = RngStreams(config.seed)
-        profile = get_profile(config.operator, config.environment.value)
-        layout = profile.build_layout(streams.derive("layout"))
-        self._trajectory = build_trajectory(config, streams)
-        self._channel = CellularChannel(
-            self._loop,
-            layout,
-            profile,
-            self._trajectory,
-            streams.child("channel"),
-            config=build_channel_config(config),
-            horizon=config.duration,
-        )
+        self._channel = build_channel(self._loop, config, streams)
+        self._trajectory = self._channel.trajectory
         self._uplink = NetworkPath(
             self._loop,
             self._channel.uplink_rate,

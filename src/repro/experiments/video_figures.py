@@ -23,7 +23,13 @@ from repro.analysis.render import (
 )
 from repro.core.config import ScenarioConfig
 from repro.core.packet_log import as_packet_log
-from repro.core.session import SessionResult, run_session
+from repro.core.session import (
+    SessionResult,
+    build_controller,
+    build_receiver,
+    build_sender,
+    run_session,
+)
 from repro.experiments.campaign import run_matrix
 from repro.experiments.settings import ExperimentSettings
 from repro.runner import WORK_SESSION, CampaignRunner
@@ -39,6 +45,10 @@ from repro.metrics.video import (
     playback_latencies,
     ssim_samples,
 )
+from repro.net.packet import reset_datagram_ids
+from repro.net.path import NetworkPath
+from repro.net.simulator import EventLoop
+from repro.util.rng import RngStreams
 
 CC_METHODS = ("static", "scream", "gcc")
 
@@ -314,16 +324,6 @@ def rampup_experiment(
     start-up phase in the well-provisioned urban area, so this runs on
     a clean 40 Mbps link rather than a fluctuating flight channel.
     """
-    from repro.core.receiver import VideoReceiver
-    from repro.core.sender import VideoSender
-    from repro.core.session import build_controller
-    from repro.net.packet import reset_datagram_ids
-    from repro.net.path import NetworkPath
-    from repro.net.simulator import EventLoop
-    from repro.util.rng import RngStreams
-    from repro.video.encoder import EncoderModel
-    from repro.video.source import SourceVideo
-
     duration = min(settings.duration, 90.0)
     times = {}
     for cc in ("gcc", "scream"):
@@ -334,34 +334,24 @@ def rampup_experiment(
             loop = EventLoop()
             streams = RngStreams(seed)
             controller = build_controller(config)
-            holder: list[VideoReceiver] = []
+            receiver = build_receiver(loop, config, controller)
             uplink = NetworkPath(
                 loop,
                 lambda t: 40e6,
-                lambda d: holder[0].on_datagram(d),
+                receiver.on_datagram,
                 base_delay=config.base_owd,
                 jitter_std=config.owd_jitter_std,
                 rng=streams.derive("j1"),
             )
-            downlink = NetworkPath(
+            receiver.downlink = NetworkPath(
                 loop,
                 lambda t: 40e6,
-                lambda d: holder[0].on_feedback_delivered(d),
+                receiver.on_feedback_delivered,
                 base_delay=config.base_owd,
                 jitter_std=config.owd_jitter_std,
                 rng=streams.derive("j2"),
             )
-            source = SourceVideo(streams.derive("source"))
-            encoder = EncoderModel(
-                streams.derive("encoder"),
-                initial_bitrate=controller.target_bitrate(0.0),
-            )
-            sender = VideoSender(loop, source, encoder, controller, uplink)
-            receiver = VideoReceiver(
-                loop, controller, downlink,
-                scream_ack_window=config.scream_ack_window,
-            )
-            holder.append(receiver)
+            sender = build_sender(loop, config, streams, controller, uplink)
             sender.start()
             receiver.start()
             loop.run_until(duration)

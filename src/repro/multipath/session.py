@@ -24,24 +24,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cc.base import StaticBitrateController
-from repro.cellular.channel import CellularChannel
 from repro.cellular.handover import HandoverEvent
-from repro.cellular.operators import get_profile
 from repro.core.config import CcAlgorithm, ScenarioConfig
 from repro.core.packet_log import PacketLog
 from repro.core.receiver import VideoReceiver
-from repro.core.sender import SenderStats, VideoSender
-from repro.core.session import build_channel_config, build_trajectory
+from repro.core.sender import SenderStats
+from repro.core.session import (
+    build_channel,
+    build_controller,
+    build_receiver,
+    build_sender,
+    build_trajectory,
+)
 from repro.net.loss import GilbertElliottLoss
 from repro.net.packet import Datagram, reset_datagram_ids
 from repro.net.path import NetworkPath
 from repro.net.simulator import EventLoop
 from repro.rtp.packets import RtpPacket, seq_distance
 from repro.util.rng import RngStreams
-from repro.video.encoder import EncoderModel
 from repro.video.player import PlaybackRecord
-from repro.video.source import SourceVideo
 
 MODES = ("duplicate", "roundrobin")
 
@@ -156,28 +157,26 @@ def run_multipath_session(
     loop = EventLoop()
     streams = RngStreams(config.seed)
     trajectory = build_trajectory(config, streams)
-    controller = StaticBitrateController(config.effective_static_bitrate)
-    receiver_holder: list[DedupReceiver] = []
+    controller = build_controller(config)
+    # The receiver is never started (a static stream takes no
+    # feedback), so it needs no downlink.
+    receiver = build_receiver(loop, config, controller)
+    dedup = DedupReceiver(receiver)
 
     paths: list[NetworkPath] = []
-    channels: list[CellularChannel] = []
+    channels = []
     for index, operator in enumerate(operators):
         substreams = streams.child(f"op-{operator}-{index}")
-        profile = get_profile(operator, config.environment.value)
-        layout = profile.build_layout(substreams.derive("layout"))
-        channel = CellularChannel(
+        channel = build_channel(
             loop,
-            layout,
-            profile,
-            trajectory,
-            substreams.child("channel"),
-            config=build_channel_config(config),
-            horizon=config.duration,
+            config.with_overrides(operator=operator),
+            substreams,
+            trajectory=trajectory,
         )
         path = NetworkPath(
             loop,
             channel.uplink_rate,
-            lambda datagram: receiver_holder[0].on_datagram(datagram),
+            dedup.on_datagram,
             base_delay=config.base_owd,
             jitter_std=config.owd_jitter_std,
             loss_model=GilbertElliottLoss.from_rate_and_burst(
@@ -194,32 +193,7 @@ def run_multipath_session(
         paths.append(path)
 
     uplink = MultipathUplink(paths, mode=mode)
-    downlink = NetworkPath(  # unused for static (no feedback) but wired
-        loop,
-        channels[0].downlink_rate,
-        lambda datagram: None,
-        base_delay=config.base_owd,
-        jitter_std=0.0,
-        horizon=channels[0].rate_horizon,
-    )
-    source = SourceVideo(streams.derive("source"), fps=config.fps)
-    encoder = EncoderModel(
-        streams.derive("encoder"),
-        fps=config.fps,
-        min_bitrate=config.min_bitrate,
-        max_bitrate=config.max_bitrate,
-        initial_bitrate=controller.target_bitrate(0.0),
-    )
-    sender = VideoSender(loop, source, encoder, controller, uplink)
-    receiver = VideoReceiver(
-        loop,
-        controller,
-        downlink,
-        fps=config.fps,
-        jitter_buffer_latency=config.jitter_buffer_latency,
-        drop_on_latency=config.jitter_buffer_drop_on_latency,
-    )
-    receiver_holder.append(DedupReceiver(receiver))
+    sender = build_sender(loop, config, streams, controller, uplink)
 
     for channel in channels:
         channel.start()
@@ -235,6 +209,6 @@ def run_multipath_session(
         playback=receiver.player.records,
         handovers_per_path=[list(c.engine.events) for c in channels],
         sender_stats=sender.stats,
-        duplicates_dropped=receiver_holder[0].duplicates,
+        duplicates_dropped=dedup.duplicates,
         sent_per_path=list(uplink.sent_per_path),
     )

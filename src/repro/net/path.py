@@ -33,7 +33,9 @@ class NetworkPath:
         Instantaneous radio capacity in bits/s (see
         :class:`repro.net.links.CapacityLink`).
     receive:
-        End-host callback for delivered datagrams.
+        End-host callback for delivered datagrams, kept as the public
+        :attr:`receive`: a caller may replace or wrap it once the path
+        is built (the C2 session records its own datagrams that way).
     base_delay:
         Fixed one-way propagation/core delay in seconds.
     jitter_std:
@@ -80,7 +82,7 @@ class NetworkPath:
         horizon: HorizonFn | None = None,
     ) -> None:
         self._loop = loop
-        self._receive = receive
+        self.receive = receive
         self.loss_model = loss_model if loss_model is not None else NoLoss()
         self.lost_packets = 0
         self.obs = obs
@@ -148,7 +150,7 @@ class NetworkPath:
 
     def _on_delivered(self, datagram: Datagram) -> None:
         datagram.received_at = self._loop.now
-        self._receive(datagram)
+        self.receive(datagram)
 
     def set_up(self, up: bool) -> None:
         """Propagate radio outage state to the capacity link."""

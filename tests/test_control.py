@@ -109,19 +109,16 @@ class TestScenarioFieldsReachTheVideoPipeline:
         return built
 
     def test_sender_rate_and_buffer_mode_match_run_session(self, monkeypatch):
-        import repro.control.session as control_session
         import repro.core.session as core_session
 
-        control_senders = self.spy(monkeypatch, control_session, "VideoSender")
-        control_receivers = self.spy(monkeypatch, control_session, "VideoReceiver")
-        session_senders = self.spy(monkeypatch, core_session, "VideoSender")
+        senders = self.spy(monkeypatch, core_session, "VideoSender")
+        receivers = self.spy(monkeypatch, core_session, "VideoReceiver")
         run_control_session(self.CONFIG)
         core_session.run_session(self.CONFIG)
-        (control,) = control_senders
-        (session,) = session_senders
+        control, session = senders
         control_bps = control.stats.bytes_sent * 8 / self.CONFIG.duration
         session_bps = session.stats.bytes_sent * 8 / self.CONFIG.duration
         assert control_bps == pytest.approx(session_bps, rel=0.1)
         assert control_bps < self.CONFIG.max_bitrate
-        (receiver,) = control_receivers
+        receiver, _ = receivers
         assert receiver.jitter_buffer.drop_on_latency is True

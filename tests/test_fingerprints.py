@@ -26,7 +26,11 @@ Golden cases:
 * urban air SCReAM flights at ack windows 64 and 256, long enough for
   delivered packets to slide below the RFC 8888 ack window (the
   paper's Section 4.2.1 false losses), with the controller's log and
-  loss counters.
+  loss counters;
+* the run kinds beside ``run_session``: C2 flows over one urban air
+  channel with and without video for each CC (Fig. 1), rural
+  two-operator multipath in both modes (Section 5), echo probes in
+  both environments and the ramp-up figure's two times.
 
 Live comparisons between two production paths run beside the golden
 checks: batched vs per-seed probes and sessions, an N=1 fleet vs the
@@ -66,16 +70,27 @@ import pytest
 
 import repro.cellular.batch as batch
 from repro.cellular.cell import CellCapacityConfig
+from repro.control import run_control_session
 from repro.core.config import ScenarioConfig
 from repro.core.fingerprint import (
     digest,
     fleet_fingerprint,
+    handover_tuples,
+    packet_log_tuples,
+    playback_tuples,
     probe_fingerprint,
     session_fingerprint,
 )
 from repro.core.fleet import FleetConfig, run_fleet
 from repro.core.session import run_session
-from repro.experiments.probes import channel_probe_batch, channel_probe_seed
+from repro.experiments.probes import (
+    channel_probe_batch,
+    channel_probe_seed,
+    ping_probe_seed,
+)
+from repro.experiments.settings import ExperimentSettings
+from repro.experiments.video_figures import rampup_experiment
+from repro.multipath import MODES, run_multipath_session
 from repro.obs import Recorder, trace_to_dicts
 from repro.runner import WORK_SESSION, execute_batch, plan_batches
 from repro.runner.work import make_unit
@@ -179,6 +194,22 @@ DENSE_FLEET = FleetConfig(
 )
 DENSE_CASE = "fleet/dense-n64"
 
+#: Run kinds beside ``run_session``: C2 flows with and without video
+#: (Fig. 1), two-operator multipath (Section 5), echo probes and the
+#: ramp-up figure's unconstrained link.
+CONTROL_CONFIG = ScenarioConfig(
+    environment="urban", platform="air", seed=3, duration=20.0
+)
+CONTROL_CCS = ("gcc", "scream", "static")
+MULTIPATH_CONFIG = ScenarioConfig(
+    cc="static", environment="rural", platform="air", seed=2, duration=20.0
+)
+PING_ENVIRONMENTS = ("rural", "urban")
+PING_SEED = 4
+PING_DURATION = 30.0
+RAMPUP_SETTINGS = ExperimentSettings(duration=20.0, seeds=(1,), warmup=0.0)
+RAMPUP_CASE = "rampup"
+
 
 def numerics_environment() -> str:
     """Id of the numpy kernels the channel's floating-point math runs on.
@@ -227,6 +258,18 @@ def plane_case(name: str) -> str:
 
 
 MEMBER_TRACE_CASE = f"member-trace/{TRACED_FLEET}/member={TRACED_MEMBER}"
+
+
+def control_case(cc: str, with_video: bool) -> str:
+    return f"control/{cc}/video={with_video}"
+
+
+def multipath_case(mode: str) -> str:
+    return f"multipath/{mode}"
+
+
+def ping_case(environment: str) -> str:
+    return f"ping/{environment}"
 
 
 def probe_configs(name: str) -> list[ScenarioConfig]:
@@ -291,6 +334,49 @@ def member_trace(result, member: int) -> tuple:
     return sampled["trace"], sampled["metrics"]
 
 
+def control_fingerprints(cc: str):
+    """Yield ``(case, fingerprint)`` for one CC's C2 runs.
+
+    A fingerprint holds the delivered C2 samples, the send counters and
+    the playback.
+    """
+    config = CONTROL_CONFIG.with_overrides(cc=cc)
+    for with_video in (True, False):
+        result = run_control_session(config, with_video=with_video)
+        yield control_case(cc, with_video), (
+            tuple((s.sent_at, s.latency) for s in result.command_samples),
+            tuple((s.sent_at, s.latency) for s in result.telemetry_samples),
+            result.commands_sent,
+            result.telemetry_sent,
+            playback_tuples(result.playback),
+        )
+
+
+def multipath_fingerprint(mode: str) -> tuple:
+    """A multipath run's packet log, playback, handovers and path counts."""
+    result = run_multipath_session(MULTIPATH_CONFIG, mode=mode)
+    return (
+        packet_log_tuples(result.packet_log),
+        playback_tuples(result.playback),
+        tuple(map(handover_tuples, result.handovers_per_path)),
+        result.duplicates_dropped,
+        tuple(result.sent_per_path),
+    )
+
+
+def ping_fingerprint(environment: str) -> tuple:
+    """Every echo's ``(time, rtt, altitude)``."""
+    config = ScenarioConfig(
+        environment=environment, seed=PING_SEED, duration=PING_DURATION
+    )
+    return tuple((s.time, s.rtt, s.altitude) for s in ping_probe_seed(config))
+
+
+def rampup_fingerprint() -> tuple:
+    result = rampup_experiment(RAMPUP_SETTINGS)
+    return result.gcc_seconds, result.scream_seconds
+
+
 def golden_fingerprints():
     """Yield ``(case, fingerprint)`` for every golden case."""
     for name in sorted(PINNED):
@@ -324,6 +410,13 @@ def golden_fingerprints():
     )
     yield MEMBER_TRACE_CASE, member_trace(sampled, TRACED_MEMBER)
     yield DENSE_CASE, fleet_fingerprint(run_fleet(DENSE_FLEET))
+    for cc in CONTROL_CCS:
+        yield from control_fingerprints(cc)
+    for mode in MODES:
+        yield multipath_case(mode), multipath_fingerprint(mode)
+    for environment in PING_ENVIRONMENTS:
+        yield ping_case(environment), ping_fingerprint(environment)
+    yield RAMPUP_CASE, rampup_fingerprint()
 
 
 def load_golden() -> dict[str, str]:
@@ -576,6 +669,27 @@ def test_n1_sampled_member_trace_matches_session_trace():
         if r["name"] != "fleet.member_sample"
     ]
     assert member == trace_to_dicts(recorder.trace)
+
+
+@pytest.mark.parametrize("cc", CONTROL_CCS)
+def test_control_session_matches_golden(cc, golden):
+    """C2 flows with and without video over one channel are pinned."""
+    for case, fingerprint in control_fingerprints(cc):
+        assert_golden(golden, case, fingerprint)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_multipath_session_matches_golden(mode, golden):
+    assert_golden(golden, multipath_case(mode), multipath_fingerprint(mode))
+
+
+@pytest.mark.parametrize("environment", PING_ENVIRONMENTS)
+def test_ping_probe_matches_golden(environment, golden):
+    assert_golden(golden, ping_case(environment), ping_fingerprint(environment))
+
+
+def test_rampup_matches_golden(golden):
+    assert_golden(golden, RAMPUP_CASE, rampup_fingerprint())
 
 
 def accept(reason: str) -> str:

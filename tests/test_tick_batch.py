@@ -40,35 +40,18 @@ from repro.cellular.cell import (
 )
 from repro.cellular.channel import CellularChannel
 from repro.cellular.handover import HandoverEngine
-from repro.cellular.operators import get_profile
 from repro.core.config import ScenarioConfig
 from repro.core.fleet import FleetConfig, run_fleet
-from repro.core.session import (
-    build_channel_config,
-    build_session,
-    build_trajectory,
-    run_session,
-)
+from repro.core.session import build_channel, build_session, run_session
 from repro.net.simulator import EventLoop
 from repro.util.rng import RngStreams
 
 URBAN_AIR = ScenarioConfig(environment="urban", platform="air")
 
 
-def build_channel(
-    config: ScenarioConfig, loop: EventLoop, *, horizon: float
-) -> CellularChannel:
-    streams = RngStreams(config.seed)
-    profile = get_profile(config.operator, config.environment.value)
-    return CellularChannel(
-        loop,
-        profile.build_layout(streams.derive("layout")),
-        profile,
-        build_trajectory(config, streams),
-        streams.child("channel"),
-        config=build_channel_config(config),
-        horizon=horizon,
-    )
+def channel_of(loop: EventLoop, config: ScenarioConfig) -> CellularChannel:
+    """``config``'s channel, ticking to the config's duration."""
+    return build_channel(loop, config, RngStreams(config.seed))
 
 
 def sample_log(channel: CellularChannel) -> list[tuple]:
@@ -83,7 +66,7 @@ def sample_log(channel: CellularChannel) -> list[tuple]:
 
 def test_run_past_the_horizon_raises_plan_exhausted():
     loop = EventLoop()
-    channel = build_channel(URBAN_AIR.with_overrides(seed=3), loop, horizon=5.0)
+    channel = channel_of(loop, URBAN_AIR.with_overrides(seed=3, duration=5.0))
     channel.start()
     loop.run_until(5.0)
     assert len(channel.samples) == 51
@@ -95,7 +78,7 @@ def test_run_past_a_streamed_horizon_raises_plan_exhausted(monkeypatch):
     # One row of 32 urban cells in 10-tick blocks: 51 ticks, 6 blocks.
     monkeypatch.setattr(batch_module, "BLOCK_ELEMENTS", 32 * 10)
     loop = EventLoop()
-    channel = build_channel(URBAN_AIR.with_overrides(seed=3), loop, horizon=5.0)
+    channel = channel_of(loop, URBAN_AIR.with_overrides(seed=3, duration=5.0))
     channel.start()
     loop.run_until(5.0)
     assert len(channel.samples) == 51
@@ -107,7 +90,7 @@ def plan_ticks(seeds: list[int], horizon: float) -> list[tuple]:
     """Every tick's RSRP and SNR rows and altitudes, as bytes, block by block."""
     loop = EventLoop()
     channels = [
-        build_channel(URBAN_AIR.with_overrides(seed=seed), loop, horizon=horizon)
+        channel_of(loop, URBAN_AIR.with_overrides(seed=seed, duration=horizon))
         for seed in seeds
     ]
     times = probe_tick_times(horizon, 0.0)
@@ -146,7 +129,7 @@ def test_samples_do_not_depend_on_the_horizon():
     runs = []
     for horizon in (60.0, 120.0):
         loop = EventLoop()
-        channel = build_channel(config, loop, horizon=horizon)
+        channel = channel_of(loop, config.with_overrides(duration=horizon))
         channel.start()
         loop.run_until(60.0)
         runs.append(channel)
@@ -160,11 +143,12 @@ def test_samples_do_not_depend_on_the_horizon():
 def test_batch_rejects_rows_with_different_channel_configs():
     loop = EventLoop()
     channels = [
-        build_channel(URBAN_AIR.with_overrides(seed=1), loop, horizon=10.0),
-        build_channel(
-            URBAN_AIR.with_overrides(seed=2, extra={"make_before_break": True}),
+        channel_of(loop, URBAN_AIR.with_overrides(seed=1, duration=10.0)),
+        channel_of(
             loop,
-            horizon=10.0,
+            URBAN_AIR.with_overrides(
+                seed=2, duration=10.0, extra={"make_before_break": True}
+            ),
         ),
     ]
     with pytest.raises(ValueError, match="ChannelConfig"):
@@ -177,11 +161,7 @@ def test_finished_lockstep_batch_is_freed_by_reference_counting():
     duration = 300.0
     loop = EventLoop()
     channels = [
-        build_channel(
-            URBAN_AIR.with_overrides(seed=seed, duration=duration),
-            loop,
-            horizon=duration,
-        )
+        channel_of(loop, URBAN_AIR.with_overrides(seed=seed, duration=duration))
         for seed in range(407, 415)
     ]
     refs = [weakref.ref(channel) for channel in channels]
@@ -427,7 +407,7 @@ def test_records_hold_python_scalars_only():
     assert any(t > 0.0 for t in fleet.congestion_time)
     loop = EventLoop()
     probes = [
-        build_channel(URBAN_AIR.with_overrides(seed=seed), loop, horizon=60.0)
+        channel_of(loop, URBAN_AIR.with_overrides(seed=seed, duration=60.0))
         for seed in range(3, 11)
     ]
     run_lockstep(probes, 60.0)

@@ -48,7 +48,7 @@ from repro.core.fleet import run_fleet
 from repro.experiments.probes import channel_probe_batch, channel_probe_seed
 from repro.net.simulator import EventLoop
 from tests.test_fingerprints import DENSE_FLEET
-from tests.test_tick_batch import URBAN_AIR, build_channel
+from tests.test_tick_batch import URBAN_AIR, channel_of
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _CELLULAR_DIR = os.path.join(_REPRO_DIR, "cellular") + os.sep
@@ -144,7 +144,7 @@ def plan_peak_bytes(n_rows: int, horizon: float) -> int:
     """
     loop = EventLoop()
     channels = [
-        build_channel(URBAN_AIR.with_overrides(seed=seed), loop, horizon=horizon)
+        channel_of(loop, URBAN_AIR.with_overrides(seed=seed, duration=horizon))
         for seed in range(n_rows)
     ]
     tracemalloc.start()

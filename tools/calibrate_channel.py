@@ -1,29 +1,17 @@
 """Channel-only calibration probe: HO rate + capacity stats per scenario."""
 import numpy as np
-from repro.net.simulator import EventLoop
-from repro.cellular.channel import CellularChannel, ChannelConfig
-from repro.cellular.propagation import PropagationConfig
-from repro.cellular.operators import get_profile
-from repro.core.config import ScenarioConfig, Environment, Platform
-from repro.core.session import build_trajectory, build_channel_config
-from repro.util.rng import RngStreams
+from repro.core.config import ScenarioConfig
+from repro.experiments.probes import channel_probe_seed
 from repro.util.units import to_mbps, to_ms
 
 def probe(env, plat, operator="P1", seeds=(1,2,3,4,5), duration=360.0):
     hos, caps, het_all = [], [], []
     for seed in seeds:
         cfg = ScenarioConfig(environment=env, platform=plat, operator=operator, duration=duration, seed=seed)
-        loop = EventLoop()
-        streams = RngStreams(seed)
-        profile = get_profile(operator, cfg.environment.value)
-        layout = profile.build_layout(streams.derive("layout"))
-        traj = build_trajectory(cfg, streams)
-        ch = CellularChannel(loop, layout, profile, traj, streams.child("channel"), config=build_channel_config(cfg), horizon=duration)
-        ch.start()
-        loop.run_until(duration)
-        hos.append(len(ch.engine.events)/duration)
-        caps.extend(s.uplink_bps for s in ch.samples)
-        het_all.extend(e.execution_time for e in ch.engine.events)
+        result = channel_probe_seed(cfg)
+        hos.append(len(result.handovers)/duration)
+        caps.extend(result.uplink_samples)
+        het_all.extend(e.execution_time for e in result.handovers)
     caps = to_mbps(np.array(caps))
     print(f"{env:5s} {plat:6s} {operator}: HO/s={np.mean(hos):.3f}  cap Mbps p10/p50/p90={np.percentile(caps,10):.1f}/{np.percentile(caps,50):.1f}/{np.percentile(caps,90):.1f} mean={caps.mean():.1f}", end="")
     if het_all:
